@@ -27,7 +27,8 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_power_of_two(n: int) -> bool:
+def is_power_of_two(n: int) -> bool:
+    """True for n = 2^s, s >= 0."""
     return n >= 1 and (n & (n - 1)) == 0
 
 
@@ -115,7 +116,7 @@ def _reuleaux(n: int, m: int | None) -> tuple[float, float]:
 
 
 def _tamvakis(n: int) -> tuple[float, float]:
-    _require(_is_power_of_two(n) and n >= 4, f"tamvakis needs n = 2^s >= 4, got {n}")
+    _require(is_power_of_two(n) and n >= 4, f"tamvakis needs n = 2^s >= 4, got {n}")
     if n % 3 == 1:
         L = ((4 * n - 4) / 3) * math.sin(PI / (2 * n - 2)) \
             + ((2 * n + 4) / 3) * math.sin(PI / (2 * n + 4))
@@ -128,7 +129,7 @@ def _tamvakis(n: int) -> tuple[float, float]:
 
 
 def _b_family(n: int) -> tuple[float, float]:
-    _require(_is_power_of_two(n) and n >= 8, f"b needs n = 2^s >= 8, got {n}")
+    _require(is_power_of_two(n) and n >= 8, f"b needs n = 2^s >= 8, got {n}")
     beta = b_alternation(n)
     L = 2 * n * math.sin(PI / (2 * n)) * math.cos(beta / 2)
     W = math.cos(PI / (2 * n) + beta / 2)
@@ -136,7 +137,7 @@ def _b_family(n: int) -> tuple[float, float]:
 
 
 def _q_family(n: int) -> tuple[float, float]:
-    _require(_is_power_of_two(n) and n >= 4, f"q needs n = 2^s >= 4, got {n}")
+    _require(is_power_of_two(n) and n >= 4, f"q needs n = 2^s >= 4, got {n}")
     gamma = q_alternation(n)
     L = 2 * n * math.sin(PI / (2 * n)) * math.cos(gamma / 2)
     W = math.cos(PI / (2 * n) + gamma / 2)
@@ -152,7 +153,7 @@ def _regular_hat(n: int) -> tuple[float, float]:
 
 
 def _b_hat(n: int) -> tuple[float, float]:
-    _require(_is_power_of_two(n) and n >= 8, f"b-hat needs n = 2^s >= 8, got {n}")
+    _require(is_power_of_two(n) and n >= 8, f"b-hat needs n = 2^s >= 8, got {n}")
     beta = b_alternation(n)
     w = (1.0 / (2 * n)) * (1.0 / math.tan(PI / (2 * n)) - math.tan(beta / 2))
     return 1.0, w
@@ -207,7 +208,7 @@ def mossinghoff_perimeter(n: int) -> float:
 
 
 def mossinghoff_width(n: int) -> float:
-    _require(_is_power_of_two(n) and n >= 8, f"need n = 2^s >= 8, got {n}")
+    _require(is_power_of_two(n) and n >= 8, f"need n = 2^s >= 8, got {n}")
     return math.cos(PI / (2 * n) + PI ** 2 / (4 * n ** 2) - PI ** 2 / (2 * n ** 3))
 
 
@@ -274,7 +275,7 @@ def gap_constants(family: str, n: int) -> float:
         beta = b_alternation(n)
         return n ** 4 * math.tan(beta / 2) / (2 * n)
     if family == "tamvakis-perimeter":
-        _require(_is_power_of_two(n), f"tamvakis gap needs n = 2^s, got {n}")
+        _require(is_power_of_two(n), f"tamvakis gap needs n = 2^s, got {n}")
         k = n // 3
         if n % 3 == 1:
             lone, paired = PI / (3 * k + 3), PI / (3 * k)

@@ -7,7 +7,9 @@ codes: 0 ok, 1 check/data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -80,7 +82,7 @@ class TableSpec:
         if self.table_id not in TABLE_IDS:
             raise UsageError(f"unknown table id {self.table_id!r}")
         for n in self.n_values:
-            if n < 4 or (n & (n - 1)) != 0:
+            if n < 4 or not bounds.is_power_of_two(n):
                 raise UsageError(f"table n-values must be powers of two >= 4, got {n}")
 
 
@@ -343,49 +345,40 @@ def verify_checks(n_max: int = 128,
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append((name, ok, detail))
 
+    built: dict[tuple[str, int], SmallPolygon] = {}
     for label, poly, (fam, n) in _family_instances(n_max):
-        check(f"invariants[{label}]", lambda p=poly: (
-            not small_polygon_violations(p), "; ".join(small_polygon_violations(p))))
+        built[(fam, n)] = poly
+        check(f"invariants[{label}]", lambda p=poly: _invariants_ok(p))
         L, W = bounds.closed_form(fam, n, poly.params.get("m"))
-        check(f"closed-form-agreement[{label}]", lambda p=poly, L=L, W=W: (
-            abs(perimeter(p) - L) <= 1e-10 and abs(width(p) - W) <= 1e-10,
-            f"dL={perimeter(p) - L:.2e} dW={width(p) - W:.2e}"))
+        check(f"closed-form-agreement[{label}]",
+              lambda p=poly, L=L, W=W: _closed_form_ok(p, L, W))
         check(f"unit-perimeter-scaling[{label}]", lambda p=poly: _scaling_ok(p))
 
     for s in range(3, n_max.bit_length()):
         n = 2 ** s
         if n > n_max:
             break
-        poly = b_family(n)
-        coords = poly.coords()
-        check(f"quarter-vertex[b n={n}]", lambda c=coords: (
-            float(np.min(np.max(np.abs(c - np.array([-0.5, 0.5])), axis=1))) <= 1e-12,
-            "closest vertex to (-1/2, 1/2) misses by "
-            f"{np.min(np.max(np.abs(c - np.array([-0.5, 0.5])), axis=1)):.2e}"))
-        check(f"pendant-lines[b n={n}]", lambda p=poly: (
-            _pendant_line_miss(p, (0.0, 0.5)) <= 1e-10,
-            f"miss {_pendant_line_miss(p, (0.0, 0.5)):.2e}"))
-        check(f"area-identity[b n={n}]", lambda p=poly, n=n: (
-            abs(area(p) - (n / 8) * math.sin(2 * math.pi / n)) <= 1e-12,
-            f"delta {area(p) - (n / 8) * math.sin(2 * math.pi / n):.2e}"))
-        check(f"structure[b n={n}]", lambda p=poly, n=n: (
-            _graph_structure(p) == (n // 2 + 1, n // 2 - 1),
-            f"got {_graph_structure(p)}"))
-        check(f"mirror-symmetry[b n={n}]", lambda p=poly: (
-            _mirror_distance(p.coords()) <= 1e-12,
-            f"max miss {_mirror_distance(p.coords()):.2e}"))
+        poly = built[("b", n)]
+        check(f"quarter-vertex[b n={n}]", lambda p=poly: _at_most(
+            float(np.min(np.max(np.abs(p.coords() - np.array([-0.5, 0.5])), axis=1))),
+            1e-12, "closest vertex to (-1/2, 1/2) misses by"))
+        check(f"pendant-lines[b n={n}]", lambda p=poly: _at_most(
+            _pendant_line_miss(p, (0.0, 0.5)), 1e-10, "miss"))
+        check(f"area-identity[b n={n}]", lambda p=poly, n=n: _area_ok(p, n))
+        check(f"structure[b n={n}]", lambda p=poly, n=n: _structure_ok(
+            p, (n // 2 + 1, n // 2 - 1)))
+        check(f"mirror-symmetry[b n={n}]", lambda p=poly: _at_most(
+            _mirror_distance(p.coords()), 1e-12, "max miss"))
         check(f"round-trip[b n={n}]", lambda p=poly: _round_trip_ok(p, "b"))
 
     for s in range(2, n_max.bit_length()):
         n = 2 ** s
         if n > n_max:
             break
-        poly = q_family(n)
-        check(f"structure[q n={n}]", lambda p=poly, n=n: (
-            _graph_structure(p) == (n - 1, 1), f"got {_graph_structure(p)}"))
-        check(f"mirror-symmetry[q n={n}]", lambda p=poly: (
-            _mirror_distance(p.coords()) <= 1e-12,
-            f"max miss {_mirror_distance(p.coords()):.2e}"))
+        poly = built[("q", n)]
+        check(f"structure[q n={n}]", lambda p=poly, n=n: _structure_ok(p, (n - 1, 1)))
+        check(f"mirror-symmetry[q n={n}]", lambda p=poly: _at_most(
+            _mirror_distance(p.coords()), 1e-12, "max miss"))
         check(f"round-trip[q n={n}]", lambda p=poly: _round_trip_ok(p, "q"))
 
     for s in range(3, n_max.bit_length()):
@@ -396,14 +389,42 @@ def verify_checks(n_max: int = 128,
 
     for law in ("b-perimeter", "b-width", "q-perimeter", "b-hat-width"):
         power, limit = bounds.GAP_LAWS[law]
-        check(f"gap-constant[{law}]", lambda law=law, limit=limit: (
-            abs(bounds.gap_constants(law, 4096) / limit - 1.0) <= 0.02,
-            f"scaled gap {bounds.gap_constants(law, 4096):.6f} vs limit {limit:.6f}"))
+        check(f"gap-constant[{law}]", lambda law=law, limit=limit: _gap_ok(law, limit))
 
     for path in polygon_paths:
         check(f"polygon-file[{path}]", lambda path=path: _file_ok(path))
 
     return results
+
+
+def _at_most(miss: float, tol: float, label: str) -> tuple[bool, str]:
+    return miss <= tol, f"{label} {miss:.2e}"
+
+
+def _invariants_ok(p: SmallPolygon) -> tuple[bool, str]:
+    problems = small_polygon_violations(p)
+    return not problems, "; ".join(problems)
+
+
+def _closed_form_ok(p: SmallPolygon, L: float, W: float) -> tuple[bool, str]:
+    dL, dW = perimeter(p) - L, width(p) - W
+    return abs(dL) <= 1e-10 and abs(dW) <= 1e-10, f"dL={dL:.2e} dW={dW:.2e}"
+
+
+def _area_ok(p: SmallPolygon, n: int) -> tuple[bool, str]:
+    delta = area(p) - (n / 8) * math.sin(2 * math.pi / n)
+    return abs(delta) <= 1e-12, f"delta {delta:.2e}"
+
+
+def _structure_ok(p: SmallPolygon, expected: tuple[int, int]) -> tuple[bool, str]:
+    got = _graph_structure(p)
+    return got == expected, f"got {got}"
+
+
+def _gap_ok(law: str, limit: float) -> tuple[bool, str]:
+    scaled = bounds.gap_constants(law, 4096)
+    return (abs(scaled / limit - 1.0) <= 0.02,
+            f"scaled gap {scaled:.6f} vs limit {limit:.6f}")
 
 
 def _scaling_ok(p: SmallPolygon) -> tuple[bool, str]:
@@ -505,13 +526,16 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(text: str | None) -> SolverConfig | None:
+    """Solver config from the file ``text`` names, or else from ``text`` as JSON."""
     if text is None:
         return None
-    raw = text
-    if not raw.lstrip().startswith("{"):
-        with open(raw, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    return SolverConfig.from_json(raw)
+    if os.path.isfile(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return SolverConfig.from_json(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--config is neither a file nor valid JSON: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -558,7 +582,7 @@ def _run(args: argparse.Namespace) -> int:
         _emit(_json17(report.to_json_dict()) + "\n", args.out)
         return EXIT_OK
     if args.command == "verify":
-        if args.n_max < 4 or (args.n_max & (args.n_max - 1)) != 0:
+        if args.n_max < 4 or not bounds.is_power_of_two(args.n_max):
             raise UsageError(f"--n-max must be a power of two >= 4, got {args.n_max}")
         results = verify_checks(args.n_max, args.polygon)
         lines = []

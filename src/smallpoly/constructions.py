@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import b_alternation, q_alternation
+from .bounds import b_alternation, is_power_of_two, q_alternation
 from .geometry import (
     Family,
     SmallPolygon,
@@ -52,10 +52,6 @@ class InfeasibleAnglesError(ValueError):
         super().__init__(message)
         self.angle_sum_residual = angle_sum_residual
         self.closure_residual = closure_residual
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 def _boundary_order(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -156,7 +152,7 @@ def tamvakis(n: int) -> SmallPolygon:
     distribution is the unique one reproducing the family's perimeter
     formula (2 sin(pi/(2n-2)) chords etc.).
     """
-    if not (_is_power_of_two(n) and n >= 4):
+    if not (is_power_of_two(n) and n >= 4):
         raise ValueError(f"need n = 2^s >= 4, got {n}")
     corner0 = (0.0, 0.0)
     corner1 = (0.5, math.sqrt(3.0) / 2.0)
@@ -211,7 +207,7 @@ class AngleParamB:
 
     def validate(self, sum_tol: float = ANGLE_SUM_TOL,
                  closure_tol: float = CLOSURE_TOL) -> None:
-        if not (_is_power_of_two(self.n) and self.n >= 8):
+        if not (is_power_of_two(self.n) and self.n >= 8):
             raise InfeasibleAnglesError(f"need n = 2^s >= 8, got {self.n}")
         if len(self.alphas) != self.n // 4 + 1:
             raise InfeasibleAnglesError(
@@ -263,7 +259,7 @@ class AngleParamQ:
 
     def validate(self, sum_tol: float = ANGLE_SUM_TOL,
                  closure_tol: float = CLOSURE_TOL) -> None:
-        if not (_is_power_of_two(self.n) and self.n >= 4):
+        if not (is_power_of_two(self.n) and self.n >= 4):
             raise InfeasibleAnglesError(f"need n = 2^s >= 4, got {self.n}")
         if len(self.alphas) != self.n // 2:
             raise InfeasibleAnglesError(
@@ -287,7 +283,7 @@ class AngleParamQ:
 
 def b_angles(n: int) -> AngleParamB:
     """Analytic angles pi/n + (-1)^k beta of the cycle-plus-pendants family."""
-    if not (_is_power_of_two(n) and n >= 8):
+    if not (is_power_of_two(n) and n >= 8):
         raise ValueError(f"need n = 2^s >= 8, got {n}")
     beta = b_alternation(n)
     return AngleParamB(n, [math.pi / n + ((-1.0) ** k) * beta for k in range(n // 4 + 1)])
@@ -295,7 +291,7 @@ def b_angles(n: int) -> AngleParamB:
 
 def q_angles(n: int) -> AngleParamQ:
     """Analytic angles pi/n - (-1)^k gamma of the odd-cycle family."""
-    if not (_is_power_of_two(n) and n >= 4):
+    if not (is_power_of_two(n) and n >= 4):
         raise ValueError(f"need n = 2^s >= 4, got {n}")
     gamma = q_alternation(n)
     return AngleParamQ(n, [math.pi / n - ((-1.0) ** k) * gamma for k in range(n // 2)])

@@ -303,6 +303,15 @@ def polygon_to_json(p: SmallPolygon) -> str:
     return _json17(doc)
 
 
+def _is_coordinate(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # a JSON integer too large for a float
+        return False
+
+
 def polygon_from_json(text: str) -> SmallPolygon:
     """Parse the JSON interchange form back into a polygon."""
     try:
@@ -312,8 +321,10 @@ def polygon_from_json(text: str) -> SmallPolygon:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InvalidPolygonError("polygon JSON must be an object with a 'vertices' array")
     vertices = doc["vertices"]
-    if not isinstance(vertices, list) or any(len(v) != 2 for v in vertices):
-        raise InvalidPolygonError("'vertices' must be a list of [x, y] pairs")
+    if not isinstance(vertices, list) or not all(
+            isinstance(v, list) and len(v) == 2 and all(map(_is_coordinate, v))
+            for v in vertices):
+        raise InvalidPolygonError("'vertices' must be a list of [x, y] pairs of finite numbers")
     if "n" in doc and doc["n"] != len(vertices):
         raise InvalidPolygonError(f"vertex count {len(vertices)} does not match n={doc['n']}")
     family_tag = doc.get("family", Family.RAW.value)

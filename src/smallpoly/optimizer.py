@@ -7,32 +7,45 @@ constraint, and box bounds:
 * "b": n/4+1 angles, objective 4 sin(a_0/2) + sum 8 sin(a_k/2) + 4 sin(a_m/2);
 * "q": n/2 angles, objective sum 4 sin(a_k/2).
 
-The solver is a multi-start augmented-Lagrangian method with damped Newton
-inner iterations, followed by a Newton polish of the KKT system.  All
-computation happens in deviation variables d_k = a_k - pi/n: near the optima
-every angle clusters at pi/n, so deviations keep the linear constraint
-assembly exact and the Hessians well scaled.  The start schedule is
-deterministic (no RNG), so identical configurations reproduce bit-identical
-reports.
+The solver runs Newton's method on the KKT system (stationarity plus
+feasibility; Nocedal & Wright, *Numerical Optimization*, section 18.1)
+from the problem's analytic warm start, the family member built by
+:mod:`smallpoly.constructions`, with multipliers from a least-squares fit
+there.  A report counts as converged only when its residuals are small and
+the reduced Hessian of the Lagrangian on the null space of the active
+constraints is negative definite (the second-order sufficient condition,
+section 12.5), so a converged report is a strict local maximum.  Only while
+no start has converged do further starts perturb one warm-start coordinate
+at a time.  All computation happens in deviation variables d_k = a_k - pi/n:
+near the optima every angle clusters at pi/n, so deviations keep the linear
+constraint assembly exact and the Hessians well scaled.  The start schedule
+is deterministic (no RNG), so identical configurations reproduce
+bit-identical reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .constructions import AngleParamB, AngleParamQ, from_angles_b, from_angles_q
+from .constructions import (
+    AngleParamB,
+    AngleParamQ,
+    b_angles,
+    from_angles_b,
+    from_angles_q,
+    q_angles,
+)
 from .geometry import DIAMETER_TOL, MetricsReport, measure
 
 DEFAULT_TOL_EQ = 1e-11
 DEFAULT_TOL_KKT = 1e-9
-STEP_TOL = 1e-13        # inner iterations stop once steps shrink below this
-RHO_MAX = 1e8           # penalty ceiling for the augmented Lagrangian
-PERTURBATIONS = (1e-3, 1e-2)  # multi-start offsets, applied per coordinate
+STEP_TOL = 1e-13        # Newton iterations stop once steps shrink below this
+PERTURBATIONS = (1e-3, 1e-2)  # fallback-start offsets, applied per coordinate
 
 
 class NonConvergenceError(RuntimeError):
@@ -71,7 +84,7 @@ class NlpProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one multi-start solve."""
+    """Outcome of one solve; ``starts_used`` counts the starts that ran."""
 
     family: str
     n: int
@@ -99,23 +112,38 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_outer: int = 20
+    """Solver settings; invalid values raise ValueError."""
+
+    max_outer: int = 20           # Newton iterations per start
     tol_eq: float = DEFAULT_TOL_EQ
     tol_kkt: float = DEFAULT_TOL_KKT
-    starts: int | None = None     # defaults to 1 + 2 * dim
+    starts: int | None = None     # most starts to try; defaults to 1 + 2 * dim
+
+    def __post_init__(self) -> None:
+        for key in ("max_outer", "starts"):
+            value = getattr(self, key)
+            if value is None and key == "starts":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"solver config {key!r} must be an integer >= 1, "
+                                 f"got {value!r}")
+        for key in ("tol_eq", "tol_kkt"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not value >= 0.0:
+                raise ValueError(f"solver config {key!r} must be a number >= 0, "
+                                 f"got {value!r}")
 
     @classmethod
     def from_json(cls, text: str) -> "SolverConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("solver config must be a JSON object")
         known = {"max_outer", "tol_eq", "tol_kkt", "starts"}
         bad = set(data) - known
         if bad:
             raise ValueError(f"unknown solver config keys: {sorted(bad)}")
         return cls(**data)
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +153,7 @@ def _is_power_of_two(n: int) -> bool:
 
 def build_b_problem(n: int) -> NlpProblem:
     """Perimeter problem of the cycle-plus-pendants family (n/4+1 angles)."""
-    if not (_is_power_of_two(n) and n >= 8):
-        raise ValueError(f"need n = 2^s >= 8, got {n}")
+    warm = np.array(b_angles(n).alphas)  # also rejects n other than 2^s >= 8
     m = n // 4
     dim = m + 1
     base = math.pi / n
@@ -187,8 +214,6 @@ def build_b_problem(n: int) -> NlpProblem:
             H -= s * np.outer(v, v)
         return H
 
-    beta = base - math.asin(0.5 * math.sin(2 * math.pi / n))
-    warm = base + np.array([((-1.0) ** k) * beta for k in range(dim)])
     upper = np.full(dim, math.pi / 6)
     upper[m] = math.pi / 3
     return NlpProblem(
@@ -202,8 +227,7 @@ def build_b_problem(n: int) -> NlpProblem:
 
 def build_q_problem(n: int) -> NlpProblem:
     """Perimeter problem of the odd-cycle family (n/2 angles)."""
-    if not (_is_power_of_two(n) and n >= 4):
-        raise ValueError(f"need n = 2^s >= 4, got {n}")
+    warm = np.array(q_angles(n).alphas)  # also rejects n other than 2^s >= 4
     dim = n // 2
     base = math.pi / n
 
@@ -243,8 +267,6 @@ def build_q_problem(n: int) -> NlpProblem:
             H -= signs[k] * math.sin(A[k]) * np.outer(v, v)
         return H
 
-    gamma = math.pi / 4 - math.asin(math.cos(math.pi / n) / math.sqrt(2.0))
-    warm = base - np.array([((-1.0) ** k) * gamma for k in range(dim)])
     upper = np.full(dim, math.pi / 3)
     upper[0] = math.pi / 6
     return NlpProblem(
@@ -257,8 +279,8 @@ def build_q_problem(n: int) -> NlpProblem:
 
 
 # ---------------------------------------------------------------------------
-# Solver internals.  Minimization form: F = -objective, constraints c = 0,
-# Lagrangian F - lam.c, augmented Lagrangian F - lam.c + rho/2 |c|^2.
+# Solver internals.  Newton works in minimization form: F = -objective,
+# constraints c = 0, Lagrangian F - lam.c.
 # ---------------------------------------------------------------------------
 
 
@@ -276,87 +298,28 @@ def _constraint_hess_combo(problem: NlpProblem, d: np.ndarray,
     return H
 
 
-def _al_value(problem, d, lam, rho) -> float:
-    f, _ = problem.objective(d)
-    c, _ = _eval_constraints(problem, d)
-    return -f - float(lam @ c) + 0.5 * rho * float(c @ c)
-
-
-def _projected(g: np.ndarray, d: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray) -> np.ndarray:
-    """Zero out gradient components pushing against an active box bound."""
-    out = g.copy()
-    out[(d <= lo + 1e-14) & (out > 0.0)] = 0.0
-    out[(d >= hi - 1e-14) & (out < 0.0)] = 0.0
-    return out
-
-
-def _newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Solve H p = -g with escalating diagonal shifts until H is PD."""
-    dim = len(g)
-    shift = 0.0
-    scale = max(float(np.max(np.abs(H))), 1.0)
-    for _ in range(60):
-        try:
-            np.linalg.cholesky(H + shift * np.eye(dim))
-            return np.linalg.solve(H + shift * np.eye(dim), -g)
-        except np.linalg.LinAlgError:
-            shift = max(2.0 * shift, 1e-12 * scale)
-    return -g / scale  # fully regularized fallback
-
-
-def _inner_newton(problem, d, lam, rho, lo, hi, gtol, max_iter=60):
-    """Damped Newton minimization of the augmented Lagrangian over the box."""
-    iters = 0
-    for _ in range(max_iter):
-        f, gf = problem.objective(d)
-        c, J = _eval_constraints(problem, d)
-        shifted = lam - rho * c
-        g = -gf - J.T @ shifted
-        gp = _projected(g, d, lo, hi)
-        if float(np.max(np.abs(gp))) <= gtol:
-            break
-        H = -problem.objective_hessian(d) \
-            - _constraint_hess_combo(problem, d, shifted) \
-            + rho * (J.T @ J)
-        p = _newton_step(H, g)
-        phi0 = -f - float(lam @ c) + 0.5 * rho * float(c @ c)
-        step = 1.0
-        accepted = False
-        while step >= 2.0 ** -40:
-            trial = np.clip(d + step * p, lo, hi)
-            slope = float(g @ (trial - d))
-            if slope <= 0.0 and _al_value(problem, trial, lam, rho) \
-                    <= phi0 + 1e-4 * slope:
-                accepted = True
-                break
-            step *= 0.5
-        iters += 1
-        if not accepted:
-            break
-        moved = float(np.max(np.abs(trial - d)))
-        d = trial
-        if moved < STEP_TOL:
-            break
-    return d, iters
-
-
-def _kkt_polish(problem, d, lam, lo, hi, max_iter=15):
+def _newton_kkt(problem, d, lo, hi, max_iter):
     """Newton iterations on the stationarity + feasibility system.
 
-    Refines both the point and the multipliers; keeps the best iterate by
-    KKT merit in case a step overshoots.
+    The multipliers start from a least-squares fit at ``d``; each step solves
+    the full KKT matrix, is capped at 0.05 per coordinate to stay local, and
+    is clipped to the box.  Keeps the best iterate by KKT merit in case a
+    step overshoots.
     """
+    _, gf = problem.objective(d)
+    _, J = _eval_constraints(problem, d)
+    lam = np.linalg.lstsq(J.T, -gf, rcond=None)[0]
     iters = 0
-    best = (math.inf, d, lam)
-    for _ in range(max_iter):
-        f, gf = problem.objective(d)
+    norm = math.inf
+    best = (math.inf, d)
+    for _ in range(max_iter + 1):
+        _, gf = problem.objective(d)
         c, J = _eval_constraints(problem, d)
         r_stat = -gf - J.T @ lam
         merit = max(float(np.max(np.abs(r_stat))), float(np.max(np.abs(c))))
         if merit < best[0]:
-            best = (merit, d.copy(), lam.copy())
-        if merit <= 1e-14:
+            best = (merit, d)
+        if merit <= 1e-14 or iters == max_iter or norm < STEP_TOL:
             break
         W = -problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
         k = len(c)
@@ -368,24 +331,23 @@ def _kkt_polish(problem, d, lam, lo, hi, max_iter=15):
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         step = sol[: problem.dim]
         norm = float(np.max(np.abs(step)))
-        if norm > 0.05:  # keep the polish local
+        if norm > 0.05:
             step = step * (0.05 / norm)
         d = np.clip(d + step, lo, hi)
         lam = lam + sol[problem.dim:]
         iters += 1
-        if norm < STEP_TOL:
-            break
-    # the loop may end right after a step; keep whichever iterate is best
-    f, gf = problem.objective(d)
-    c, J = _eval_constraints(problem, d)
-    merit = max(float(np.max(np.abs(-gf - J.T @ lam))), float(np.max(np.abs(c))))
-    if merit < best[0]:
-        best = (merit, d, lam)
-    return best[1], best[2], iters
+    return best[1], iters
 
 
 def _final_report_parts(problem, d, lo, hi):
-    """Refit multipliers by least squares and measure final residuals."""
+    """Refit multipliers by least squares; measure residuals and curvature.
+
+    Returns the objective, both equality residuals, the box-aware
+    stationarity norm, and the largest eigenvalue of the reduced Hessian
+    Z^T W Z (-inf when the null space is empty).  W is the Hessian of the
+    maximization Lagrangian f - lam.c and Z spans the null space of the
+    equality Jacobian together with the rows of the active box bounds.
+    """
     f, gf = problem.objective(d)
     c, J = _eval_constraints(problem, d)
     lam, *_ = np.linalg.lstsq(J.T, gf, rcond=None)
@@ -398,51 +360,39 @@ def _final_report_parts(problem, d, lo, hi):
     proj[at_lo] = np.maximum(proj[at_lo], 0.0)
     proj[at_hi] = np.minimum(proj[at_hi], 0.0)
     kkt = float(np.linalg.norm(proj))
-    return f, (float(c[0]), float(c[1])), kkt
-
-
-def _solve_single(problem, d0, lo, hi, cfg):
-    d = np.clip(d0, lo, hi)
-    lam = np.zeros(len(problem.eq_constraints))
-    rho = 100.0
-    iters = 0
-    prev_norm = math.inf
-    for _ in range(cfg.max_outer):
-        gtol = max(1e-11, min(1e-6, 0.1 * prev_norm))
-        d, inner = _inner_newton(problem, d, lam, rho, lo, hi, gtol)
-        iters += inner
-        c, _ = _eval_constraints(problem, d)
-        norm = float(np.max(np.abs(c)))
-        lam = lam - rho * c
-        if norm <= 1e-12:
-            break
-        if norm > 0.25 * prev_norm:
-            rho = min(rho * 10.0, RHO_MAX)
-        prev_norm = norm
-    d, lam, polish_iters = _kkt_polish(problem, d, lam, lo, hi)
-    iters += polish_iters
-    return d, iters
+    active = np.eye(problem.dim)[at_lo | at_hi]
+    A = np.vstack((J, active))
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int(np.sum(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
+    Z = Vt[rank:].T
+    curvature = -math.inf
+    if Z.shape[1]:
+        W = problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
+        reduced = Z.T @ W @ Z
+        curvature = float(np.max(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
+    return f, (float(c[0]), float(c[1])), kkt, curvature
 
 
 def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveReport:
-    """Multi-start local maximization; returns the best converged report.
+    """Newton-KKT solve from the analytic warm start; returns the first converged report.
 
-    Starts from the analytic warm start plus deterministic single-coordinate
-    perturbations (magnitudes 1e-3 and 1e-2, alternating sign with the
-    coordinate index).  A candidate counts as converged when both equality
-    residuals are within ``tol_eq`` and the projected stationarity norm is
-    within ``tol_kkt``; candidates that fall below the warm start's objective
-    are discarded.  Raises :class:`NonConvergenceError` (carrying the best
-    partial report) if no start survives.
+    A candidate counts as converged when both equality residuals are within
+    ``tol_eq``, the projected stationarity norm is within ``tol_kkt``, and
+    the reduced Hessian is negative definite (a strict local maximum).
+    Candidates below the warm start's objective are discarded.  While no
+    candidate survives, further starts perturb single coordinates of the
+    warm start (magnitudes 1e-3 and 1e-2, alternating sign with the
+    coordinate index), up to ``starts`` in all.  Raises
+    :class:`NonConvergenceError` (carrying the best partial report) if none
+    survives.
     """
     cfg = config or SolverConfig()
     lo = problem.lower - problem.base_angle
     hi = problem.upper - problem.base_angle
-    warm_dev = problem.warm_start - problem.base_angle
-    warm_obj, _ = problem.objective(np.clip(warm_dev, lo, hi))
+    warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
+    warm_obj, _ = problem.objective(warm_dev)
     n_starts = cfg.starts if cfg.starts is not None else 1 + 2 * problem.dim
 
-    best = None          # (objective, report) among converged + filtered
     best_partial = None  # highest objective regardless of convergence
     for s in range(n_starts):
         d0 = warm_dev.copy()
@@ -450,32 +400,23 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
             j = (s - 1) % problem.dim
             mag = PERTURBATIONS[((s - 1) // problem.dim) % len(PERTURBATIONS)]
             d0[j] += mag if j % 2 == 0 else -mag
-        d, iters = _solve_single(problem, d0, lo, hi, cfg)
-        obj, eq_res, kkt = _final_report_parts(problem, d, lo, hi)
+        d, iters = _newton_kkt(problem, np.clip(d0, lo, hi), lo, hi, cfg.max_outer)
+        obj, eq_res, kkt, curvature = _final_report_parts(problem, d, lo, hi)
         converged = (max(abs(eq_res[0]), abs(eq_res[1])) <= cfg.tol_eq
-                     and kkt <= cfg.tol_kkt)
+                     and kkt <= cfg.tol_kkt and curvature < 0.0)
         report = SolveReport(
             family=problem.family, n=problem.n,
             angles=tuple(float(a) for a in problem.base_angle + d),
             objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
             iterations=iters, starts_used=s + 1, converged=converged,
         )
+        if converged and obj >= warm_obj:
+            return report
         if best_partial is None or obj > best_partial.objective:
             best_partial = report
-        if converged and obj >= warm_obj:
-            if best is None or obj > best[0]:
-                best = (obj, report)
-    if best is None:
-        raise NonConvergenceError(
-            f"no start converged for family {problem.family!r}, n={problem.n}",
-            best_partial,
-        )
-    _, report = best
-    return SolveReport(
-        family=report.family, n=report.n, angles=report.angles,
-        objective=report.objective, eq_residuals=report.eq_residuals,
-        kkt_residual=report.kkt_residual, iterations=report.iterations,
-        starts_used=n_starts, converged=True,
+    raise NonConvergenceError(
+        f"no start converged for family {problem.family!r}, n={problem.n}",
+        replace(best_partial, starts_used=n_starts),
     )
 
 

@@ -16,6 +16,8 @@ from smallpoly import (
     upper_bounds,
 )
 
+from smallpoly.bounds import is_power_of_two
+
 from _reference import (
     OPTIMAL_PERIMETER_B,
     OPTIMAL_PERIMETER_Q,
@@ -26,6 +28,11 @@ from _reference import (
 
 PI = math.pi
 POWERS = (8, 16, 32, 64, 128)
+
+
+def test_is_power_of_two():
+    assert [n for n in range(-2, 70) if is_power_of_two(n)] == [1, 2, 4, 8, 16, 32, 64]
+    assert is_power_of_two(2 ** 60)
 
 
 def test_upper_bounds_at_8():

@@ -89,6 +89,19 @@ def test_measure_rejects_non_convex_and_malformed(tmp_path, capsys):
     assert code == EXIT_CHECK
 
 
+@pytest.mark.parametrize("doc", [
+    '{"vertices": [1, 2, 3]}',
+    '{"vertices": [[0, 0], [1, "x"], [0, 1]]}',
+])
+def test_measure_rejects_malformed_vertices_as_data_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "measure", str(path))
+    assert code == EXIT_CHECK
+    assert out == ""
+    assert err.startswith("error: 'vertices'")
+
+
 def test_table_t1_golden_rows(capsys):
     code, out, _ = run(capsys, "table", "--id", "T1_perimeters")
     assert code == EXIT_OK
@@ -211,6 +224,26 @@ def test_optimize_with_config(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("config", [
+    "[1]", '{"tol_eq": "x"}', '{"starts": 0}', '{"max_outer": 0}', "no-such-file.json",
+])
+def test_optimize_rejects_bad_config_as_usage_error(capsys, config):
+    code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8",
+                         "--config", config)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_optimize_reads_config_file(tmp_path, capsys):
+    path = tmp_path / "solver.json"
+    path.write_text('{"starts": 2, "max_outer": 10}')
+    code, out, _ = run(capsys, "optimize", "--problem", "q", "--n", "8",
+                       "--config", str(path))
+    assert code == EXIT_OK
+    assert json.loads(out)["starts_used"] == 1
+
+
 def test_verify_passes_and_is_quick(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "16")
     assert code == EXIT_OK
@@ -240,6 +273,27 @@ def test_verify_checks_cover_gap_laws():
     names = [name for name, _, _ in verify_checks(8)]
     assert any(name.startswith("gap-constant") for name in names)
     assert any(name.startswith("structure[b") for name in names)
+
+
+def test_verify_checks_build_and_evaluate_once(monkeypatch):
+    import smallpoly.cli as cli
+    calls = {"b_family": 0, "q_family": 0, "small_polygon_violations": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    results = verify_checks(64)
+    invariants = sum(1 for name, _, _ in results if name.startswith("invariants["))
+    assert calls == {"b_family": 4, "q_family": 5,
+                     "small_polygon_violations": invariants}
+    assert all(ok for _, ok, _ in results)
 
 
 def test_usage_errors_exit_2(capsys):

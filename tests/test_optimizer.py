@@ -10,10 +10,12 @@ from smallpoly import (
     CertificationError,
     NonConvergenceError,
     SolverConfig,
+    b_angles,
     build_b_problem,
     build_q_problem,
     certify,
     closed_form,
+    q_angles,
     solve,
     upper_bounds,
 )
@@ -68,6 +70,13 @@ def test_warm_start_objectives():
     assert qproblem.objective(warm_dev)[0] == pytest.approx(
         closed_form("q", 8)[0], abs=1e-12)
     assert qproblem.objective(warm_dev)[0] == pytest.approx(3.11934, abs=1e-4)
+
+
+def test_warm_start_is_the_analytic_family_member():
+    for n in (8, 64, 1024):
+        assert tuple(build_b_problem(n).warm_start) == b_angles(n).alphas
+    for n in (4, 64, 1024):
+        assert tuple(build_q_problem(n).warm_start) == q_angles(n).alphas
 
 
 def test_warm_start_is_feasible():
@@ -199,12 +208,71 @@ def test_impossible_tolerances_raise_non_convergence():
     assert err.value.report.objective > 3.12  # best partial attempt attached
 
 
+def test_fallback_starts_run_only_until_one_converges():
+    assert solve(build_b_problem(8), SolverConfig(starts=5)).starts_used == 1
+    cfg = SolverConfig(starts=3, tol_eq=0.0, tol_kkt=0.0)
+    with pytest.raises(NonConvergenceError) as err:
+        solve(build_q_problem(8), cfg)
+    assert err.value.report.starts_used == 3
+
+
+@pytest.mark.parametrize("builder,n", [
+    *((build_b_problem, 2 ** s) for s in range(3, 10)),
+    *((build_q_problem, 2 ** s) for s in range(2, 9)),
+])
+def test_default_solve_is_certified_from_the_first_start(builder, n):
+    # converged includes the second-order check: the reduced Hessian of the
+    # Lagrangian is negative definite (vacuous at q4, where no freedom is left)
+    report = solve(builder(n))
+    assert report.converged
+    assert report.starts_used == 1
+    assert report.iterations <= 4
+
+
+def _negated(problem):
+    def objective(d):
+        f, g = problem.objective(d)
+        return -f, -g
+    return dataclasses.replace(
+        problem, objective=objective,
+        objective_hessian=lambda d: -problem.objective_hessian(d))
+
+
+@pytest.mark.parametrize("builder,n", [
+    (build_b_problem, 8), (build_b_problem, 64), (build_q_problem, 16),
+])
+def test_certificate_rejects_a_minimum(builder, n):
+    # The perimeter optimum is a KKT point of the negated problem too, and
+    # there it is a strict minimum: residuals pass, the curvature must not.
+    problem = builder(n)
+    optimum = np.array(solve(problem).angles)
+    at_optimum = dataclasses.replace(problem, warm_start=optimum)
+    assert solve(at_optimum, SolverConfig(starts=1)).converged
+    with pytest.raises(NonConvergenceError) as err:
+        solve(_negated(at_optimum), SolverConfig(starts=1))
+    report = err.value.report
+    assert max(abs(r) for r in report.eq_residuals) <= 1e-11
+    assert report.kkt_residual <= 1e-9
+    assert not report.converged
+
+
 def test_solver_config_from_json():
     cfg = SolverConfig.from_json('{"max_outer": 5, "starts": 2}')
     assert cfg.max_outer == 5 and cfg.starts == 2
     assert cfg.tol_eq == 1e-11
     with pytest.raises(ValueError):
         SolverConfig.from_json('{"bogus": 1}')
+
+
+@pytest.mark.parametrize("text", [
+    "[1]", "1", '"starts"', "null",
+    '{"tol_eq": "x"}', '{"tol_kkt": [1e-9]}', '{"max_outer": "20"}',
+    '{"starts": 0}', '{"starts": -3}', '{"starts": 1.5}', '{"starts": true}',
+    '{"max_outer": 0}',
+])
+def test_solver_config_from_json_rejects_bad_values(text):
+    with pytest.raises(ValueError):
+        SolverConfig.from_json(text)
 
 
 def test_certify_accepts_converged_reports():
