@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bounds
 from .constructions import (
+    _cycle_walk,
     b_family,
     extract_angles_b,
     extract_angles_q,
@@ -36,6 +37,7 @@ from .geometry import (
     _json17,
     area,
     diameter,
+    diameter_graph,
     measure,
     perimeter,
     polygon_from_json,
@@ -257,57 +259,32 @@ def _mirror_distance(coords: np.ndarray) -> float:
     return float(np.max(np.min(dist, axis=1)))
 
 
-def _graph_structure(p: SmallPolygon) -> tuple[int, int]:
-    """(cycle length, pendant count) of the diameter graph.
+def _pendant_edges(adj: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """Diameter-graph edges (i < j) with an endpoint of degree one."""
+    return [(i, j) for i, nbrs in adj.items() for j in nbrs
+            if i < j and 1 in (len(nbrs), len(adj[j]))]
 
-    Raises ValueError when the graph is not a single cycle plus pendants.
+
+def _graph_structure(p: SmallPolygon) -> tuple[int, int]:
+    """(cycle length, pendant count) of the diameter graph of a b or q polygon.
+
+    Raises ValueError when the graph is not a single cycle through the
+    origin vertex plus pendants.
     """
-    _, edges = diameter(p)
-    deg: dict[int, int] = {}
-    for i, j in edges:
-        deg[i] = deg.get(i, 0) + 1
-        deg[j] = deg.get(j, 0) + 1
-    pendant_edges = [(i, j) for i, j in edges if deg[i] == 1 or deg[j] == 1]
-    cycle_edges = [(i, j) for i, j in edges if deg[i] > 1 and deg[j] > 1]
-    adj: dict[int, list[int]] = {}
-    for i, j in cycle_edges:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    if any(len(nbrs) != 2 for nbrs in adj.values()):
-        raise ValueError("cycle part of the diameter graph is not 2-regular")
-    start = next(iter(adj))
-    seen = {start}
-    prev, here = None, start
-    while True:
-        nxt = [v for v in adj[here] if v != prev]
-        if not nxt:
-            raise ValueError("cycle walk dead-ended")
-        prev, here = here, nxt[0]
-        if here == start:
-            break
-        if here in seen:
-            raise ValueError("diameter graph cycle is not simple")
-        seen.add(here)
-    if len(seen) != len(adj):
+    adj = diameter_graph(p)
+    cycle, _ = _cycle_walk(p, adj)
+    if len(cycle) - 1 != sum(len(nbrs) > 1 for nbrs in adj.values()):
         raise ValueError("diameter graph has more than one cycle component")
-    return len(seen), len(pendant_edges)
+    return len(cycle) - 1, len(_pendant_edges(adj))
 
 
 def _pendant_line_miss(p: SmallPolygon, point: tuple[float, float]) -> float:
     """Largest distance from `point` to any pendant edge's supporting line."""
     coords = p.coords()
-    _, edges = diameter(p)
-    deg: dict[int, int] = {}
-    for i, j in edges:
-        deg[i] = deg.get(i, 0) + 1
-        deg[j] = deg.get(j, 0) + 1
     worst = 0.0
     px, py = point
-    for i, j in edges:
-        if deg[i] != 1 and deg[j] != 1:
-            continue
-        ax, ay = coords[i]
-        bx, by = coords[j]
+    for i, j in _pendant_edges(diameter_graph(p)):
+        (ax, ay), (bx, by) = coords[i], coords[j]
         worst = max(worst, abs((bx - ax) * (py - ay) - (by - ay) * (px - ax))
                     / math.hypot(bx - ax, by - ay))
     return worst

@@ -30,6 +30,7 @@ from .geometry import (
     Family,
     SmallPolygon,
     diameter,
+    diameter_graph,
     small_polygon_violations,
     validate_small_polygon,
 )
@@ -422,40 +423,28 @@ def q_family(n: int) -> SmallPolygon:
 # ---------------------------------------------------------------------------
 
 
-def _unit_graph(p: SmallPolygon) -> dict[int, list[int]]:
-    _, edges = diameter(p)
-    adj: dict[int, list[int]] = {i: [] for i in range(p.n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
+def _cycle_walk(p: SmallPolygon, adj: dict[int, list[int]]) -> tuple[list[int], int]:
+    """Walk the cycle of the diameter graph ``adj`` from the origin vertex back to it.
 
-
-def _cycle_walk(p: SmallPolygon, steps: int) -> tuple[list[int], int]:
-    """Walk the diameter-graph cycle from the origin vertex.
-
-    Returns (cycle vertex indices v_0 .. v_steps, apex index).  The walk
-    starts toward positive x; pendant neighbors (degree one) are excluded
-    from the cycle.
+    Returns (cycle vertex indices v_0 .. v_0, apex index).  The walk starts
+    toward positive x; pendant neighbors (degree one) are excluded from the cycle.
     """
     coords = p.coords()
-    adj = _unit_graph(p)
-    degree = {i: len(adj[i]) for i in adj}
     origin = min(range(p.n), key=lambda i: math.hypot(*coords[i]))
     if math.hypot(*coords[origin]) > 1e-9:
         raise ValueError("polygon has no vertex at the origin")
-    pendants = [j for j in adj[origin] if degree[j] == 1]
+    pendants = [j for j in adj[origin] if len(adj[j]) == 1]
     if len(pendants) != 1:
         raise ValueError("origin vertex must carry exactly one pendant edge")
     apex = pendants[0]
-    cycle_nbrs = [j for j in adj[origin] if degree[j] >= 2]
+    cycle_nbrs = [j for j in adj[origin] if len(adj[j]) >= 2]
     if len(cycle_nbrs) != 2:
         raise ValueError("origin vertex must lie on the diameter cycle")
     first = max(cycle_nbrs, key=lambda j: coords[j][0])
     path = [origin, first]
-    while len(path) <= steps:
+    while path[-1] != origin:
         here = path[-1]
-        nxt = [j for j in adj[here] if degree[j] >= 2 and j != path[-2]]
+        nxt = [j for j in adj[here] if len(adj[j]) >= 2 and j != path[-2]]
         if len(nxt) != 1:
             raise ValueError("diameter graph is not a simple cycle with pendants")
         path.append(nxt[0])
@@ -476,7 +465,7 @@ def extract_angles_b(p: SmallPolygon) -> AngleParamB:
     n = p.n
     m = n // 4
     coords = p.coords()
-    path, apex = _cycle_walk(p, m + 1)
+    path, apex = _cycle_walk(p, diameter_graph(p))
     pts = coords[path]
     alphas = [_angle_between(coords[apex] - pts[0], pts[1] - pts[0])]
     for k in range(1, m):
@@ -490,7 +479,7 @@ def extract_angles_q(p: SmallPolygon) -> AngleParamQ:
     n = p.n
     d = n // 2
     coords = p.coords()
-    path, apex = _cycle_walk(p, d)
+    path, apex = _cycle_walk(p, diameter_graph(p))
     pts = coords[path]
     alphas = [_angle_between(coords[apex] - pts[0], pts[1] - pts[0])]
     for k in range(1, d):

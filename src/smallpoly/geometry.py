@@ -1,10 +1,10 @@
 """Coordinate-level primitives and metrics for unit-diameter ("small") polygons.
 
 Everything here works directly on vertex coordinates: perimeters are edge
-sums, widths come from edge-normal support distances, diameters from pairwise
-distances, areas from the shoelace formula.  None of it knows about closed
-forms, so it can serve as an independent cross-check for the analytic
-expressions in :mod:`smallpoly.bounds`.
+sums, widths come from edge-normal support distances, diameters from the
+antipodal vertex pairs of the convex hull, areas from the shoelace formula.
+None of it knows about closed forms, so it can serve as an independent
+cross-check for the analytic expressions in :mod:`smallpoly.bounds`.
 
 All operations are pure functions of immutable values and are safe to call
 concurrently.
@@ -21,17 +21,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 # Unit-distance classification tolerance for diameter-graph edges.  Family
-# constructions are accurate to ~1e-15 and the closest non-unit vertex pair
-# stays more than 1e-3 away from distance one, so 1e-9 separates cleanly.
+# constructions are accurate to ~1e-15, while the closest non-diameter vertex
+# pair falls short of distance one by about pi^2/n^2 (b, q, tamvakis) or
+# pi^2/(2n^2) (regular): 9.4e-6 and 4.7e-6 at n = 1024.  So 1e-9 separates
+# diameter pairs only up to n ~ 1e5 (b) and n ~ 7e4 (regular).
 DIAMETER_TOL = 1e-9
 
-# Cross products below this threshold count as collinear (non strictly convex).
+# Turning-angle sines below this threshold count as collinear (non strictly convex).
 CONVEXITY_TOL = 1e-12
 
 # Constructions keep the polygon in the upper half-plane up to this slack.
 HALF_PLANE_TOL = 1e-12
-
-_CHUNK = 256  # row block for pairwise-distance / support-distance sweeps
 
 
 class InvalidPolygonError(ValueError):
@@ -140,16 +140,32 @@ def perimeter(p: SmallPolygon) -> float:
 
 
 def is_convex(p: SmallPolygon) -> bool:
-    """True iff every consecutive cross product is strictly positive (CCW).
+    """True iff the polygon turns left at every vertex and winds around once.
 
-    Collinear corners are rejected: a cross product within ``CONVEXITY_TOL``
-    of zero does not count as convex.
+    A turning angle whose sine is within ``CONVEXITY_TOL`` of zero (a
+    collinear corner or a zero-length edge) does not count as convex, and
+    neither does a star polygon.
     """
     coords = p.coords()
     e = _edge_vectors(coords)
     nxt = np.roll(e, -1, axis=0)
     cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
-    return bool(np.all(cross > CONVEXITY_TOL))
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    turns = np.arctan2(cross, e[:, 0] * nxt[:, 0] + e[:, 1] * nxt[:, 1])
+    return bool(np.all(cross > CONVEXITY_TOL * lengths * np.roll(lengths, -1))
+                and np.sum(turns) < 3 * math.pi)  # the turns add up to 2 pi per winding
+
+
+def _antipodes(coords: np.ndarray) -> np.ndarray:
+    """For each edge of a convex CCW polygon, the vertex farthest from its line.
+
+    Binary search on the unwrapped edge angles for the edge's reverse
+    direction; rounding in the angles can pick a neighbour of that vertex.
+    """
+    e = _edge_vectors(coords)
+    theta = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
+    ext = np.concatenate((theta, theta + 2 * math.pi))
+    return np.searchsorted(ext, theta + math.pi) % len(coords)
 
 
 def width(p: SmallPolygon) -> float:
@@ -162,17 +178,30 @@ def width(p: SmallPolygon) -> float:
         raise NonConvexError("width is only defined here for convex CCW polygons")
     coords = p.coords()
     e = _edge_vectors(coords)
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    w = math.inf
-    for start in range(0, len(coords), _CHUNK):
-        sl = slice(start, min(start + _CHUNK, len(coords)))
-        # perpendicular distance of every vertex from each edge's line
-        dx = coords[None, :, 0] - coords[sl, None, 0]
-        dy = coords[None, :, 1] - coords[sl, None, 1]
-        cross = e[sl, None, 0] * dy - e[sl, None, 1] * dx
-        support = np.max(cross, axis=1) / lengths[sl]
-        w = min(w, float(np.min(support)))
-    return w
+    far = (_antipodes(coords)[:, None] + np.arange(-1, 2)) % len(coords)
+    # distance of the antipodal vertex and its two neighbours from each edge's line
+    d = coords[far] - coords[:, None, :]
+    cross = e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0]
+    return float(np.min(np.max(cross, axis=1) / np.hypot(e[:, 0], e[:, 1])))
+
+
+def _hull(coords: np.ndarray) -> np.ndarray:
+    """CCW hull vertex indices (Andrew's monotone chain), collinear points dropped."""
+    # exact power-of-two scaling: no underflow in the cross products of tiny polygons
+    pts = np.ldexp(coords, -int(np.frexp(np.max(np.abs(coords)))[1])).tolist()
+    order = np.lexsort((coords[:, 1], coords[:, 0])).tolist()
+    hull: list[int] = []
+    for chain in (order, order[::-1]):
+        base = len(hull)
+        for k in chain:
+            while len(hull) >= base + 2:
+                (ox, oy), (ax, ay), (bx, by) = pts[hull[-2]], pts[hull[-1]], pts[k]
+                if (ax - ox) * (by - ay) - (ay - oy) * (bx - ax) > 0:
+                    break
+                hull.pop()
+            hull.append(k)
+        hull.pop()  # each chain ends where the other one starts
+    return np.array(hull)
 
 
 def diameter(p: SmallPolygon) -> tuple[float, tuple[tuple[int, int], ...]]:
@@ -180,27 +209,33 @@ def diameter(p: SmallPolygon) -> tuple[float, tuple[tuple[int, int], ...]]:
 
     Returns ``(d, edges)`` where ``edges`` lists every index pair whose
     distance is within ``DIAMETER_TOL`` of ``d`` -- the diameter-graph edge
-    set of the polygon.
+    set of the polygon.  Only antipodal pairs of the convex hull's vertices
+    are measured, which holds every diameter of any vertex set.
     """
     coords = p.coords()
-    n = len(coords)
-    dmax = 0.0
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        dx = coords[None, :, 0] - coords[sl, None, 0]
-        dy = coords[None, :, 1] - coords[sl, None, 1]
-        dmax = max(dmax, float(np.max(np.hypot(dx, dy))))
-    edges = []
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        dx = coords[None, :, 0] - coords[sl, None, 0]
-        dy = coords[None, :, 1] - coords[sl, None, 1]
-        close = np.argwhere(np.hypot(dx, dy) >= dmax - DIAMETER_TOL)
-        for i, j in close:
-            a, b = start + int(i), int(j)
-            if a < b:
-                edges.append((a, b))
-    return dmax, tuple(sorted(edges))
+    hull = _hull(coords)
+    m = len(hull)
+    far = _antipodes(coords[hull])
+    # hull vertex k is antipodal to hull vertices far[k-1] .. far[k];
+    # one more on each side absorbs rounding in far
+    counts = (far - np.roll(far, 1)) % m + 3
+    k = np.repeat(np.arange(m), counts)
+    step = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = hull[k], hull[(np.roll(far, 1)[k] - 1 + step) % m]
+    dist = np.hypot(coords[j, 0] - coords[i, 0], coords[j, 1] - coords[i, 1])
+    dmax = float(np.max(dist))
+    # each pair as lo * n + hi, so that one sort orders and dedupes them
+    keys = np.unique((np.minimum(i, j) * p.n + np.maximum(i, j))[dist >= dmax - DIAMETER_TOL])
+    return dmax, tuple(e for e in (divmod(key, p.n) for key in keys.tolist()) if e[0] != e[1])
+
+
+def diameter_graph(p: SmallPolygon) -> dict[int, list[int]]:
+    """Adjacency lists of the diameter graph; vertex i has degree ``len(adj[i])``."""
+    adj: dict[int, list[int]] = {i: [] for i in range(p.n)}
+    for i, j in diameter(p)[1]:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
 
 
 def area(p: SmallPolygon) -> float:

@@ -4,7 +4,16 @@ Perimeters/widths are rounded at the last printed digit of their published
 sources, so computed values must match within 5e-11 (5e-13 for the
 12-decimal entries).  Optimal angles are published to six significant
 digits; solver output must match within 1e-5.
+
+``pairwise_diameter`` and ``pairwise_width`` are O(n^2) all-pairs sweeps, the
+oracle for the caliper sweep in ``smallpoly.geometry``.
 """
+
+import numpy as np
+
+from smallpoly.geometry import DIAMETER_TOL
+
+_CHUNK = 256  # row block for pairwise-distance / support-distance sweeps
 
 # n: (L_regular, L_regular_plus, L_tamvakis, L_mossinghoff, L_b, ub_L, ratio)
 PERIMETER_TABLE = {
@@ -112,3 +121,43 @@ FIGURE_METRICS = {
     ("q", 16): (3.1364, 0.9942),
     ("q", 32): (3.1403, 0.9987),
 }
+
+
+def pairwise_width(p):
+    """Minimum over edges of the farthest vertex's distance from the edge's line."""
+    coords = p.coords()
+    e = np.roll(coords, -1, axis=0) - coords
+    lengths = np.hypot(e[:, 0], e[:, 1])
+    w = np.inf
+    for start in range(0, len(coords), _CHUNK):
+        sl = slice(start, min(start + _CHUNK, len(coords)))
+        # perpendicular distance of every vertex from each edge's line
+        dx = coords[None, :, 0] - coords[sl, None, 0]
+        dy = coords[None, :, 1] - coords[sl, None, 1]
+        cross = e[sl, None, 0] * dy - e[sl, None, 1] * dx
+        support = np.max(cross, axis=1) / lengths[sl]
+        w = min(w, float(np.min(support)))
+    return w
+
+
+def pairwise_diameter(p):
+    """Largest vertex distance and every pair within ``DIAMETER_TOL`` of it."""
+    coords = p.coords()
+    n = len(coords)
+    dmax = 0.0
+    for start in range(0, n, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, n))
+        dx = coords[None, :, 0] - coords[sl, None, 0]
+        dy = coords[None, :, 1] - coords[sl, None, 1]
+        dmax = max(dmax, float(np.max(np.hypot(dx, dy))))
+    edges = []
+    for start in range(0, n, _CHUNK):
+        sl = slice(start, min(start + _CHUNK, n))
+        dx = coords[None, :, 0] - coords[sl, None, 0]
+        dy = coords[None, :, 1] - coords[sl, None, 1]
+        close = np.argwhere(np.hypot(dx, dy) >= dmax - DIAMETER_TOL)
+        for i, j in close:
+            a, b = start + int(i), int(j)
+            if a < b:
+                edges.append((a, b))
+    return dmax, tuple(sorted(edges))
