@@ -125,7 +125,7 @@ def build_polygon(family: str, n: int, m: int | None = None) -> SmallPolygon:
 
 def render_svg(p: SmallPolygon) -> str:
     """SVG figure: dashed boundary edges, solid diameter-graph edges."""
-    coords = p.coords()
+    coords = p.xy
     pad = 0.05
     xmin, ymin = coords.min(axis=0) - pad
     xmax, ymax = coords.max(axis=0) + pad
@@ -252,11 +252,17 @@ def table_csv(spec: TableSpec, digits: int | None = None,
 
 
 def _mirror_distance(coords: np.ndarray) -> float:
-    """Max distance from any vertex to the nearest mirrored (x -> -x) vertex."""
+    """Max distance between each vertex and its mirrored (x -> -x) partner.
+
+    Both vertex sets are sorted lexicographically and paired row by row.  A
+    pairing's distance is never below the nearest-neighbour distance, so a
+    polygon that is mirror-symmetric gives 0 and one that is not cannot pass
+    for symmetric.
+    """
     mirrored = coords * np.array([-1.0, 1.0])
-    dist = np.hypot(coords[:, None, 0] - mirrored[None, :, 0],
-                    coords[:, None, 1] - mirrored[None, :, 1])
-    return float(np.max(np.min(dist, axis=1)))
+    a = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
+    b = mirrored[np.lexsort((mirrored[:, 1], mirrored[:, 0]))]
+    return float(np.max(np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])))
 
 
 def _pendant_edges(adj: dict[int, list[int]]) -> list[tuple[int, int]]:
@@ -280,7 +286,7 @@ def _graph_structure(p: SmallPolygon) -> tuple[int, int]:
 
 def _pendant_line_miss(p: SmallPolygon, point: tuple[float, float]) -> float:
     """Largest distance from `point` to any pendant edge's supporting line."""
-    coords = p.coords()
+    coords = p.xy
     worst = 0.0
     px, py = point
     for i, j in _pendant_edges(diameter_graph(p)):
@@ -337,7 +343,7 @@ def verify_checks(n_max: int = 128,
             break
         poly = built[("b", n)]
         check(f"quarter-vertex[b n={n}]", lambda p=poly: _at_most(
-            float(np.min(np.max(np.abs(p.coords() - np.array([-0.5, 0.5])), axis=1))),
+            float(np.min(np.max(np.abs(p.xy - np.array([-0.5, 0.5])), axis=1))),
             1e-12, "closest vertex to (-1/2, 1/2) misses by"))
         check(f"pendant-lines[b n={n}]", lambda p=poly: _at_most(
             _pendant_line_miss(p, (0.0, 0.5)), 1e-10, "miss"))
@@ -345,7 +351,7 @@ def verify_checks(n_max: int = 128,
         check(f"structure[b n={n}]", lambda p=poly, n=n: _structure_ok(
             p, (n // 2 + 1, n // 2 - 1)))
         check(f"mirror-symmetry[b n={n}]", lambda p=poly: _at_most(
-            _mirror_distance(p.coords()), 1e-12, "max miss"))
+            _mirror_distance(p.xy), 1e-12, "max miss"))
         check(f"round-trip[b n={n}]", lambda p=poly: _round_trip_ok(p, "b"))
 
     for s in range(2, n_max.bit_length()):
@@ -355,7 +361,7 @@ def verify_checks(n_max: int = 128,
         poly = built[("q", n)]
         check(f"structure[q n={n}]", lambda p=poly, n=n: _structure_ok(p, (n - 1, 1)))
         check(f"mirror-symmetry[q n={n}]", lambda p=poly: _at_most(
-            _mirror_distance(p.coords()), 1e-12, "max miss"))
+            _mirror_distance(p.xy), 1e-12, "max miss"))
         check(f"round-trip[q n={n}]", lambda p=poly: _round_trip_ok(p, "q"))
 
     for s in range(3, n_max.bit_length()):
@@ -418,7 +424,7 @@ def _round_trip_ok(p: SmallPolygon, variant: str) -> tuple[bool, str]:
         rebuilt = from_angles_b(extract_angles_b(p))
     else:
         rebuilt = from_angles_q(extract_angles_q(p))
-    err = float(np.max(np.abs(rebuilt.coords() - p.coords())))
+    err = float(np.max(np.abs(rebuilt.xy - p.xy)))
     return err <= 1e-12, f"max coordinate error {err:.2e}"
 
 
@@ -430,7 +436,10 @@ def _orderings_ok(n: int) -> tuple[bool, str]:
     lq, wq = bounds.closed_form("q", n)
     ub = bounds.upper_bounds(n).ubL
     wm = bounds.mossinghoff_width(n)
-    ok = (lr < lb < ub and lrp < lq and wq < wrp and wrp >= max(wt, wm))
+    # ub - L_B is about pi^7/(32 n^6), below one ulp of pi from n = 1024 on,
+    # so its sign comes from the cancellation-free gap product
+    ok = (lr < lb and bounds.gap_constants("b-perimeter", n) > 0
+          and lrp < lq and wq < wrp and wrp >= max(wt, wm))
     return ok, (f"L_R={lr} L_B={lb} ubL={ub} L_R+={lrp} L_Q={lq} "
                 f"W_Q={wq} W_R+={wrp} W_T={wt} W_M={wm}")
 

@@ -105,7 +105,7 @@ def regular_plus(n: int) -> SmallPolygon:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"need even n >= 4, got {n}")
     base = regular(n - 1)
-    verts = [(v.x, v.y) for v in base.vertices]
+    verts = base.xy.tolist()
     top = (n - 2) // 2  # apex goes between the two topmost vertices
     verts = verts[: top + 1] + [(0.0, 1.0)] + verts[top + 1:]
     return _polygon(verts, Family.REGULAR_PLUS, {"n": n})
@@ -133,7 +133,7 @@ def reuleaux_subdivision(m: int, n: int) -> SmallPolygon:
         raise ValueError(f"need odd m >= 3, got {m}")
     if n % m != 0:
         raise ValueError(f"need m | n, got m={m}, n={n}")
-    base = [(v.x, v.y) for v in regular(m).vertices]
+    base = regular(m).xy.tolist()
     per_arc = n // m
     sweep = math.pi / m  # angular extent of each Reuleaux arc
     verts: list[tuple[float, float]] = []
@@ -429,8 +429,8 @@ def _cycle_walk(p: SmallPolygon, adj: dict[int, list[int]]) -> tuple[list[int], 
     Returns (cycle vertex indices v_0 .. v_0, apex index).  The walk starts
     toward positive x; pendant neighbors (degree one) are excluded from the cycle.
     """
-    coords = p.coords()
-    origin = min(range(p.n), key=lambda i: math.hypot(*coords[i]))
+    coords = p.xy
+    origin = int(np.argmin(np.hypot(coords[:, 0], coords[:, 1])))
     if math.hypot(*coords[origin]) > 1e-9:
         raise ValueError("polygon has no vertex at the origin")
     pendants = [j for j in adj[origin] if len(adj[j]) == 1]
@@ -464,7 +464,7 @@ def extract_angles_b(p: SmallPolygon) -> AngleParamB:
     """
     n = p.n
     m = n // 4
-    coords = p.coords()
+    coords = p.xy
     path, apex = _cycle_walk(p, diameter_graph(p))
     pts = coords[path]
     alphas = [_angle_between(coords[apex] - pts[0], pts[1] - pts[0])]
@@ -478,7 +478,7 @@ def extract_angles_q(p: SmallPolygon) -> AngleParamQ:
     """Measure the defining angles of an odd-cycle polygon."""
     n = p.n
     d = n // 2
-    coords = p.coords()
+    coords = p.xy
     path, apex = _cycle_walk(p, diameter_graph(p))
     pts = coords[path]
     alphas = [_angle_between(coords[apex] - pts[0], pts[1] - pts[0])]

@@ -7,7 +7,8 @@ None of it knows about closed forms, so it can serve as an independent
 cross-check for the analytic expressions in :mod:`smallpoly.bounds`.
 
 All operations are pure functions of immutable values and are safe to call
-concurrently.
+concurrently; the convexity test and the diameter sweep a polygon caches are
+deterministic, so a race can at most compute one twice.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,33 +69,65 @@ class Point2:
             raise InvalidPolygonError(f"non-finite point ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallPolygon:
-    """An ordered (counterclockwise) vertex list plus construction metadata.
+    """An ordered (counterclockwise) vertex array plus construction metadata.
 
-    The container itself only checks basic sanity; the per-family invariants
-    (strict convexity, diameter one, first vertex at the origin) are
-    guaranteed by the constructors in :mod:`smallpoly.constructions` and can
-    be re-checked with :func:`small_polygon_violations`.
+    ``xy`` is a read-only (n, 2) float64 array owned by the polygon.  The
+    container itself only checks its shape and finiteness; the per-family
+    invariants (strict convexity, diameter one, first vertex at the origin)
+    are guaranteed by the constructors in :mod:`smallpoly.constructions` and
+    can be re-checked with :func:`small_polygon_violations`.  The convexity
+    test and the diameter sweep run at most once per polygon and are cached
+    on it.
     """
 
-    vertices: tuple[Point2, ...]
+    xy: np.ndarray
     family: Family = Family.RAW
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(self.vertices) < 3:
+        try:
+            xy = np.array(self.xy, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # ragged rows, non-numbers
+            raise InvalidPolygonError(f"vertex coordinates are not numbers: {exc}") from exc
+        if xy.ndim != 2 or xy.shape[1] != 2:
             raise InvalidPolygonError(
-                f"a polygon needs at least 3 vertices, got {len(self.vertices)}"
-            )
+                f"vertices must be (x, y) pairs, got an array of shape {xy.shape}")
+        if len(xy) < 3:
+            raise InvalidPolygonError(f"a polygon needs at least 3 vertices, got {len(xy)}")
+        if not np.all(np.isfinite(xy)):
+            raise InvalidPolygonError("non-finite vertex coordinate")
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SmallPolygon):
+            return NotImplemented
+        return ((self.family, self.params) == (other.family, other.params)
+                and np.array_equal(self.xy, other.xy))
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.xy)
+
+    @cached_property
+    def vertices(self) -> tuple[Point2, ...]:
+        return tuple(Point2(x, y) for x, y in self.xy.tolist())
 
     def coords(self) -> np.ndarray:
-        """Vertex coordinates as an (n, 2) float array."""
-        return np.array([(p.x, p.y) for p in self.vertices], dtype=float)
+        """A writable copy of the (n, 2) vertex coordinates."""
+        return self.xy.copy()
+
+    @cached_property
+    def _convex(self) -> bool:
+        return _is_convex(self.xy)
+
+    @cached_property
+    def _diameter(self) -> tuple[float, tuple[tuple[int, int], ...]]:
+        # a strictly convex CCW polygon is its own hull
+        hull = np.arange(self.n) if self._convex else _hull(self.xy)
+        return _sweep(self.xy, hull)
 
     @classmethod
     def from_coords(
@@ -102,8 +136,9 @@ class SmallPolygon:
         family: Family = Family.RAW,
         params: dict | None = None,
     ) -> "SmallPolygon":
-        pts = tuple(Point2(float(x), float(y)) for x, y in coords)
-        return cls(pts, family, dict(params or {}))
+        if not isinstance(coords, np.ndarray):
+            coords = list(coords)
+        return cls(coords, family, dict(params or {}))
 
 
 @dataclass(frozen=True)
@@ -134,8 +169,7 @@ def _edge_vectors(coords: np.ndarray) -> np.ndarray:
 
 def perimeter(p: SmallPolygon) -> float:
     """Sum of edge lengths, closed cyclically."""
-    coords = p.coords()
-    e = _edge_vectors(coords)
+    e = _edge_vectors(p.xy)
     return math.fsum(np.hypot(e[:, 0], e[:, 1]).tolist())
 
 
@@ -146,7 +180,10 @@ def is_convex(p: SmallPolygon) -> bool:
     collinear corner or a zero-length edge) does not count as convex, and
     neither does a star polygon.
     """
-    coords = p.coords()
+    return p._convex
+
+
+def _is_convex(coords: np.ndarray) -> bool:
     e = _edge_vectors(coords)
     nxt = np.roll(e, -1, axis=0)
     cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
@@ -176,7 +213,7 @@ def width(p: SmallPolygon) -> float:
     """
     if not is_convex(p):
         raise NonConvexError("width is only defined here for convex CCW polygons")
-    coords = p.coords()
+    coords = p.xy
     e = _edge_vectors(coords)
     far = (_antipodes(coords)[:, None] + np.arange(-1, 2)) % len(coords)
     # distance of the antipodal vertex and its two neighbours from each edge's line
@@ -210,11 +247,15 @@ def diameter(p: SmallPolygon) -> tuple[float, tuple[tuple[int, int], ...]]:
     Returns ``(d, edges)`` where ``edges`` lists every index pair whose
     distance is within ``DIAMETER_TOL`` of ``d`` -- the diameter-graph edge
     set of the polygon.  Only antipodal pairs of the convex hull's vertices
-    are measured, which holds every diameter of any vertex set.
+    are measured, which holds every diameter of any vertex set.  The sweep
+    runs once per polygon; later calls return the cached result.
     """
-    coords = p.coords()
-    hull = _hull(coords)
-    m = len(hull)
+    return p._diameter
+
+
+def _sweep(coords: np.ndarray, hull: np.ndarray) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """:func:`diameter` of ``coords`` given its CCW hull vertex indices."""
+    n, m = len(coords), len(hull)
     far = _antipodes(coords[hull])
     # hull vertex k is antipodal to hull vertices far[k-1] .. far[k];
     # one more on each side absorbs rounding in far
@@ -225,8 +266,10 @@ def diameter(p: SmallPolygon) -> tuple[float, tuple[tuple[int, int], ...]]:
     dist = np.hypot(coords[j, 0] - coords[i, 0], coords[j, 1] - coords[i, 1])
     dmax = float(np.max(dist))
     # each pair as lo * n + hi, so that one sort orders and dedupes them
-    keys = np.unique((np.minimum(i, j) * p.n + np.maximum(i, j))[dist >= dmax - DIAMETER_TOL])
-    return dmax, tuple(e for e in (divmod(key, p.n) for key in keys.tolist()) if e[0] != e[1])
+    keys = np.unique((np.minimum(i, j) * n + np.maximum(i, j))[dist >= dmax - DIAMETER_TOL])
+    lo, hi = np.divmod(keys, n)
+    loop = lo == hi
+    return dmax, tuple(zip(lo[~loop].tolist(), hi[~loop].tolist()))
 
 
 def diameter_graph(p: SmallPolygon) -> dict[int, list[int]]:
@@ -240,8 +283,7 @@ def diameter_graph(p: SmallPolygon) -> dict[int, list[int]]:
 
 def area(p: SmallPolygon) -> float:
     """Shoelace area; positive for simple CCW polygons."""
-    coords = p.coords()
-    x, y = coords[:, 0], coords[:, 1]
+    x, y = p.xy[:, 0], p.xy[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     return 0.5 * math.fsum((x * yn - xn * y).tolist())
 
@@ -255,10 +297,9 @@ def to_unit_perimeter(p: SmallPolygon) -> SmallPolygon:
     length = perimeter(p)
     if not length > 0.0:
         raise InvalidPolygonError("cannot rescale a polygon of zero perimeter")
-    pts = tuple(Point2(v.x / length, v.y / length) for v in p.vertices)
     params = dict(p.params)
     params["unit_perimeter"] = True
-    return SmallPolygon(pts, p.family, params)
+    return SmallPolygon(p.xy / length, p.family, params)
 
 
 def measure(p: SmallPolygon) -> MetricsReport:
@@ -287,10 +328,10 @@ def small_polygon_violations(p: SmallPolygon) -> list[str]:
     d, _ = diameter(p)
     if d > 1.0 + DIAMETER_TOL:
         problems.append(f"diameter {d!r} exceeds 1 + {DIAMETER_TOL}")
-    v0 = p.vertices[0]
-    if math.hypot(v0.x, v0.y) > HALF_PLANE_TOL:
-        problems.append(f"first vertex ({v0.x}, {v0.y}) is not at the origin")
-    if any(v.y < -HALF_PLANE_TOL for v in p.vertices):
+    x0, y0 = p.xy[0].tolist()
+    if math.hypot(x0, y0) > HALF_PLANE_TOL:
+        problems.append(f"first vertex ({x0}, {y0}) is not at the origin")
+    if np.any(p.xy[:, 1] < -HALF_PLANE_TOL):
         problems.append("polygon leaves the half-plane y >= 0")
     return problems
 
@@ -329,13 +370,9 @@ def _json17(obj) -> str:
 
 def polygon_to_json(p: SmallPolygon) -> str:
     """Serialize a polygon to its JSON interchange form."""
-    doc = {
-        "n": p.n,
-        "family": p.family.value,
-        "params": p.params,
-        "vertices": [[v.x, v.y] for v in p.vertices],
-    }
-    return _json17(doc)
+    vertices = ", ".join(f"[{x:.17g}, {y:.17g}]" for x, y in p.xy.tolist())
+    return (f'{{"n": {p.n}, "family": {_json17(p.family.value)}, '
+            f'"params": {_json17(p.params)}, "vertices": [{vertices}]}}')
 
 
 def _is_coordinate(x) -> bool:

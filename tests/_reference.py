@@ -6,7 +6,9 @@ sources, so computed values must match within 5e-11 (5e-13 for the
 digits; solver output must match within 1e-5.
 
 ``pairwise_diameter`` and ``pairwise_width`` are O(n^2) all-pairs sweeps, the
-oracle for the caliper sweep in ``smallpoly.geometry``.
+oracle for the caliper sweep in ``smallpoly.geometry``;
+``pairwise_mirror_distance`` is the all-pairs oracle for the sorted pairing
+in ``smallpoly.cli._mirror_distance``.
 """
 
 import numpy as np
@@ -161,3 +163,11 @@ def pairwise_diameter(p):
             if a < b:
                 edges.append((a, b))
     return dmax, tuple(sorted(edges))
+
+
+def pairwise_mirror_distance(coords):
+    """Max distance from any vertex to the nearest mirrored (x -> -x) vertex."""
+    mirrored = coords * np.array([-1.0, 1.0])
+    dist = np.hypot(coords[:, None, 0] - mirrored[None, :, 0],
+                    coords[:, None, 1] - mirrored[None, :, 1])
+    return float(np.max(np.min(dist, axis=1)))

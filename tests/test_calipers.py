@@ -14,6 +14,7 @@ from smallpoly import (
     b_family,
     closed_form,
     diameter,
+    geometry,
     is_convex,
     measure,
     q_family,
@@ -21,7 +22,7 @@ from smallpoly import (
     width,
 )
 from smallpoly.cli import _graph_structure, build_polygon
-from smallpoly.geometry import diameter_graph
+from smallpoly.geometry import _hull, _sweep, diameter_graph
 
 from _reference import pairwise_diameter, pairwise_width
 
@@ -114,3 +115,29 @@ def test_diameter_graph_degrees():
 def test_graph_structure_rejects_graphs_without_an_origin_pendant(poly):
     with pytest.raises(ValueError):
         _graph_structure(poly)
+
+
+def _chain_sweep(poly):
+    """The diameter through Andrew's monotone chain, as for non-convex input."""
+    return _sweep(poly.xy, _hull(poly.xy))
+
+
+@pytest.mark.parametrize("family,n,m", FAMILY_CASES)
+def test_convex_fast_path_matches_monotone_chain_on_families(family, n, m, monkeypatch):
+    poly = build_polygon(family, n, m)
+    fresh = SmallPolygon.from_coords(poly.xy)
+
+    def no_hull(coords):
+        raise AssertionError("the hull loop ran on a strictly convex polygon")
+
+    monkeypatch.setattr(geometry, "_hull", no_hull)
+    fast = diameter(fresh)
+    monkeypatch.undo()
+    assert fast == _chain_sweep(poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(convex_polygons())
+def test_convex_fast_path_matches_monotone_chain_on_convex_polygons(poly):
+    assert is_convex(poly)
+    assert diameter(poly) == _chain_sweep(poly)

@@ -5,17 +5,21 @@ import json
 import numpy as np
 import pytest
 
-from smallpoly import b_family, measure, perimeter, polygon_to_json, q_family
+from smallpoly import b_family, bounds, measure, perimeter, polygon_to_json, q_family
 from smallpoly.cli import (
     EXIT_CHECK,
     EXIT_OK,
     EXIT_USAGE,
     TableSpec,
     UsageError,
+    _mirror_distance,
+    _orderings_ok,
     main,
     render_svg,
     verify_checks,
 )
+
+from _reference import pairwise_mirror_distance
 
 
 def run(capsys, *argv):
@@ -316,3 +320,72 @@ def test_render_svg_function_geometry():
     svg = render_svg(q_family(8))
     # 400 px per unit: the canvas spans (1 + 2*0.05) units vertically
     assert 'height="440"' in svg
+
+
+def test_verify_checks_sweep_each_polygon_once(monkeypatch):
+    from smallpoly import geometry
+    swept = []  # the coordinate arrays swept; kept alive so their ids stay unique
+    sweep = geometry._sweep
+
+    def counted(coords, hull):
+        swept.append(coords)
+        return sweep(coords, hull)
+
+    monkeypatch.setattr(geometry, "_sweep", counted)
+    results = verify_checks(64)
+    assert all(ok for _, ok, _ in results)
+    assert swept
+    assert len({id(coords) for coords in swept}) == len(swept)
+
+
+@pytest.mark.parametrize("build,n_min", [(b_family, 8), (q_family, 4)], ids=["b", "q"])
+def test_mirror_distance_matches_pairwise_oracle(build, n_min):
+    for s in range(n_min.bit_length() - 1, 11):
+        coords = build(2 ** s).xy
+        assert _mirror_distance(coords) == pairwise_mirror_distance(coords) == 0.0
+
+
+def test_mirror_distance_flags_a_moved_vertex():
+    coords = b_family(64).coords()
+    coords[5, 0] += 1e-9
+    assert _mirror_distance(coords) >= pairwise_mirror_distance(coords)
+    assert _mirror_distance(coords) > 1e-12
+
+
+@pytest.mark.parametrize("n", [2 ** s for s in range(3, 13)])
+def test_orderings_binary64_signs_match_mpmath(n):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        pi, sin, cos = mp.pi, mp.sin, mp.cos
+        ub = 2 * n * sin(pi / (2 * n))
+        half = pi / (2 * n - 2)
+        exact = {
+            "lr": n * sin(pi / n),
+            "lrp": (2 * n - 2) * sin(half) + 4 * sin(pi / (4 * n - 4)) - 2 * sin(half),
+            "wrp": cos(half),
+            "wt": cos(pi / (2 * n - 2)) if n % 3 == 1 else cos(pi / (2 * n - 4)),
+            "lb": ub * cos((pi / n - mp.asin(sin(2 * pi / n) / 2)) / 2),
+            "ub": ub,
+            "wm": cos(pi / (2 * n) + pi ** 2 / (4 * n ** 2) - pi ** 2 / (2 * n ** 3)),
+        }
+        gamma = pi / 4 - mp.asin(cos(pi / n) / mp.sqrt(2))
+        exact["lq"], exact["wq"] = ub * cos(gamma / 2), cos(pi / (2 * n) + gamma / 2)
+    f64 = {"ub": bounds.upper_bounds(n).ubL, "wm": bounds.mossinghoff_width(n)}
+    f64["lr"], _ = bounds.closed_form("regular", n)
+    f64["lrp"], f64["wrp"] = bounds.closed_form("regular-plus", n)
+    _, f64["wt"] = bounds.closed_form("tamvakis", n)
+    f64["lb"], _ = bounds.closed_form("b", n)
+    f64["lq"], f64["wq"] = bounds.closed_form("q", n)
+    for lo, hi in (("lr", "lb"), ("lrp", "lq"), ("wq", "wrp")):
+        assert (f64[lo] < f64[hi]) == (exact[lo] < exact[hi]), (lo, hi)
+    for lo in ("wt", "wm"):
+        assert (f64["wrp"] >= f64[lo]) == (exact["wrp"] >= exact[lo]), lo
+    # the one comparison binary64 cannot make from n = 1024 on
+    assert (bounds.gap_constants("b-perimeter", n) > 0) == (exact["lb"] < exact["ub"])
+    assert _orderings_ok(n)[0]
+
+
+def test_verify_passes_at_4096(capsys):
+    code, out, _ = run(capsys, "verify", "--n-max", "4096")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "281/281 checks passed"

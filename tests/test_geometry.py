@@ -186,3 +186,38 @@ def test_measure_report_fields():
     doc = rep.to_json_dict()
     assert doc["convex"] is True
     assert doc["diameter_edges"] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("coords", [
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+    [(0, 0), (1, 0), (0,)],
+    [(0, 0), (1, 0), [0.5, "x"]],
+    [(0, 0), (1, 0), (0.5, float("nan"))],
+], ids=["rows-of-three", "short-row", "non-numeric", "non-finite"])
+def test_from_coords_rejects_malformed_coordinates(coords):
+    with pytest.raises(InvalidPolygonError):
+        SmallPolygon.from_coords(coords)
+
+
+def test_coords_returns_a_writable_copy():
+    poly = b_family(8)
+    copy = poly.coords()
+    copy[0] = (5.0, 5.0)
+    assert poly.xy[0].tolist() == [0.0, 0.0]
+    assert poly == b_family(8)
+
+
+def test_stored_coordinates_are_read_only_and_owned():
+    source = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)])
+    poly = SmallPolygon.from_coords(source)
+    with pytest.raises(ValueError):
+        poly.xy[0, 0] = 1.0
+    source[0, 0] = 9.0  # the caller's array stays writable and is not shared
+    assert poly.xy.dtype == np.float64 and poly.xy[0, 0] == 0.0
+
+
+def test_vertices_are_a_point2_tuple():
+    poly = q_family(8)
+    assert isinstance(poly.vertices, tuple)
+    assert all(isinstance(v, Point2) for v in poly.vertices)
+    assert [[v.x, v.y] for v in poly.vertices] == poly.xy.tolist()
