@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -55,15 +56,14 @@ class InfeasibleAnglesError(ValueError):
         self.closure_residual = closure_residual
 
 
-def _boundary_order(verts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+def _boundary_order(verts: list[tuple[float, float]]) -> np.ndarray:
     """Sort strictly convex vertices CCW, starting from the origin vertex."""
-    cx = math.fsum(x for x, _ in verts) / len(verts)
-    cy = math.fsum(y for _, y in verts) / len(verts)
-    order = sorted(range(len(verts)),
-                   key=lambda i: math.atan2(verts[i][1] - cy, verts[i][0] - cx))
-    first = min(order, key=lambda i: math.hypot(*verts[i]))
-    k = order.index(first)
-    return [verts[i] for i in order[k:] + order[:k]]
+    xy = np.fromiter(chain.from_iterable(verts), float, 2 * len(verts)).reshape(-1, 2)
+    cx = math.fsum(xy[:, 0].tolist()) / len(xy)
+    cy = math.fsum(xy[:, 1].tolist()) / len(xy)
+    ring = xy[np.argsort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx), kind="stable")]
+    first = int(np.argmin(np.hypot(ring[:, 0], ring[:, 1])))
+    return np.roll(ring, -first, axis=0)
 
 
 def _polygon(verts, family, params) -> SmallPolygon:

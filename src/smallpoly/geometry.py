@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -375,15 +376,6 @@ def polygon_to_json(p: SmallPolygon) -> str:
             f'"params": {_json17(p.params)}, "vertices": [{vertices}]}}')
 
 
-def _is_coordinate(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # a JSON integer too large for a float
-        return False
-
-
 def polygon_from_json(text: str) -> SmallPolygon:
     """Parse the JSON interchange form back into a polygon."""
     try:
@@ -393,9 +385,12 @@ def polygon_from_json(text: str) -> SmallPolygon:
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InvalidPolygonError("polygon JSON must be an object with a 'vertices' array")
     vertices = doc["vertices"]
-    if not isinstance(vertices, list) or not all(
-            isinstance(v, list) and len(v) == 2 and all(map(_is_coordinate, v))
-            for v in vertices):
+    # type scans in C: booleans, strings and nulls fail here; the constructor
+    # rejects NaN, infinities and integers too large for a float
+    if not (isinstance(vertices, list)
+            and set(map(type, vertices)) <= {list}
+            and set(map(len, vertices)) <= {2}
+            and set(map(type, chain.from_iterable(vertices))) <= {int, float}):
         raise InvalidPolygonError("'vertices' must be a list of [x, y] pairs of finite numbers")
     if "n" in doc and doc["n"] != len(vertices):
         raise InvalidPolygonError(f"vertex count {len(vertices)} does not match n={doc['n']}")

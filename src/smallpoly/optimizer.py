@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -130,8 +131,8 @@ class SolverConfig:
         for key in ("tol_eq", "tol_kkt"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not value >= 0.0:
-                raise ValueError(f"solver config {key!r} must be a number >= 0, "
+                    or not 0.0 <= value <= sys.float_info.max:
+                raise ValueError(f"solver config {key!r} must be a finite number >= 0, "
                                  f"got {value!r}")
 
     @classmethod
@@ -149,6 +150,27 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 # Problem builders
 # ---------------------------------------------------------------------------
+
+
+def _suffix_sums(terms: np.ndarray) -> np.ndarray:
+    """S[r] = 0.0 + terms[r] + terms[r+1] + ..., for r = 0..len(terms).
+
+    Each sum adds its terms in ascending order, as a loop that accumulates
+    one term at a time into every entry it touches would, so the result is
+    bitwise equal to such a loop (a reversed cumulative sum rounds
+    differently).  Row r of a triangle holds zeros, then terms[r:]; a
+    sequential cumulative sum along the rows costs O(len(terms)^2).  The last
+    entry, an empty sum, is 0.0.
+    """
+    k = len(terms)
+    rows = np.zeros((k + 1, k + 1))
+    rows[:k, 1:] = np.triu(np.broadcast_to(terms, (k, k)))
+    return np.cumsum(rows, axis=1)[:, -1]
+
+
+def _max_index(k: int) -> np.ndarray:
+    """The (k, k) index matrix max(i, j)."""
+    return np.maximum.outer(np.arange(k), np.arange(k))
 
 
 def build_b_problem(n: int) -> NlpProblem:
@@ -185,33 +207,31 @@ def build_b_problem(n: int) -> NlpProblem:
         dev = d[0] + 2.0 * np.concatenate(([0.0], np.cumsum(d[1:m])))
         return (2.0 * np.arange(1, m + 1) - 1.0) * base + dev
 
+    signs = np.array([-((-1.0) ** k) for k in range(2, m + 1)])
+
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
         a0 = base + d[0]
         phi = _turn_angles(d)
-        signs = np.array([-((-1.0) ** k) for k in range(2, m + 1)])
         terms = [math.sin(a0), 0.5] + (signs * np.sin(phi[1:])).tolist()
         val = math.fsum(terms)
-        grad = np.zeros(dim)
-        grad[0] = math.cos(a0)
-        cos_phi = np.cos(phi)
-        for k in range(2, m + 1):
-            s = signs[k - 2] * cos_phi[k - 1]
-            grad[0] += s
-            grad[1:k] += 2.0 * s
+        # s_k = signs_k cos phi_k for k = 2..m; d/d a_0 takes every s_k, and
+        # d/d a_j (j >= 1) takes 2 s_k for each k > j
+        s = signs * np.cos(phi)[1:]
+        grad = np.empty(dim)
+        grad[0] = np.cumsum(np.concatenate(([math.cos(a0)], s)))[-1]
+        grad[1:] = 2.0 * _suffix_sums(s)
         return val, grad
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
         a0 = base + d[0]
         phi = _turn_angles(d)
-        H = np.zeros((dim, dim))
-        H[0, 0] = -math.sin(a0)
-        sin_phi = np.sin(phi)
-        for k in range(2, m + 1):
-            s = -((-1.0) ** k) * sin_phi[k - 1]
-            v = np.zeros(dim)
-            v[0] = 1.0
-            v[1:k] = 2.0
-            H -= s * np.outer(v, v)
+        s = signs * np.sin(phi)[1:]
+        # H = -sum_k s_k v_k v_k^T with v_k = (1, 2, .., 2, 0, .., 0), 2 at 1..k-1
+        S = _suffix_sums(-s)
+        H = np.empty((dim, dim))
+        H[0, 0] = np.cumsum(np.concatenate(([-math.sin(a0)], -s)))[-1]
+        H[0, 1:] = H[1:, 0] = 2.0 * S
+        H[1:, 1:] = 4.0 * S[_max_index(m)]  # S[max(i, j) - 1] for i, j >= 1
         return H
 
     upper = np.full(dim, math.pi / 6)
@@ -259,13 +279,11 @@ def build_q_problem(n: int) -> NlpProblem:
         return val, grad
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
+        # H = -sum_k signs_k sin(A_k) v_k v_k^T with v_k = 1 at 0..k, so
+        # H[i, j] sums the terms k >= max(i, j)
         A = _running(d)
-        H = np.zeros((dim, dim))
-        for k in range(dim - 1):
-            v = np.zeros(dim)
-            v[: k + 1] = 1.0
-            H -= signs[k] * math.sin(A[k]) * np.outer(v, v)
-        return H
+        c = signs * np.fromiter(map(math.sin, A[:-1].tolist()), float, dim - 1)
+        return _suffix_sums(-c)[_max_index(dim)]
 
     upper = np.full(dim, math.pi / 3)
     upper[0] = math.pi / 6
@@ -298,27 +316,33 @@ def _constraint_hess_combo(problem: NlpProblem, d: np.ndarray,
     return H
 
 
+def _evaluate(problem: NlpProblem, d: np.ndarray):
+    f, gf = problem.objective(d)
+    c, J = _eval_constraints(problem, d)
+    return f, gf, c, J
+
+
 def _newton_kkt(problem, d, lo, hi, max_iter):
     """Newton iterations on the stationarity + feasibility system.
 
     The multipliers start from a least-squares fit at ``d``; each step solves
     the full KKT matrix, is capped at 0.05 per coordinate to stay local, and
     is clipped to the box.  Keeps the best iterate by KKT merit in case a
-    step overshoots.
+    step overshoots.  Each iterate is evaluated once; returns the best
+    iterate, the iteration count and the best iterate's evaluation.
     """
-    _, gf = problem.objective(d)
-    _, J = _eval_constraints(problem, d)
+    ev = _evaluate(problem, d)
+    _, gf, _, J = ev
     lam = np.linalg.lstsq(J.T, -gf, rcond=None)[0]
     iters = 0
     norm = math.inf
-    best = (math.inf, d)
+    best = (math.inf, d, ev)
     for _ in range(max_iter + 1):
-        _, gf = problem.objective(d)
-        c, J = _eval_constraints(problem, d)
+        _, gf, c, J = ev
         r_stat = -gf - J.T @ lam
         merit = max(float(np.max(np.abs(r_stat))), float(np.max(np.abs(c))))
         if merit < best[0]:
-            best = (merit, d)
+            best = (merit, d, ev)
         if merit <= 1e-14 or iters == max_iter or norm < STEP_TOL:
             break
         W = -problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
@@ -336,20 +360,21 @@ def _newton_kkt(problem, d, lo, hi, max_iter):
         d = np.clip(d + step, lo, hi)
         lam = lam + sol[problem.dim:]
         iters += 1
-    return best[1], iters
+        ev = _evaluate(problem, d)
+    return best[1], iters, best[2]
 
 
-def _final_report_parts(problem, d, lo, hi):
+def _final_report_parts(problem, d, lo, hi, ev):
     """Refit multipliers by least squares; measure residuals and curvature.
 
-    Returns the objective, both equality residuals, the box-aware
-    stationarity norm, and the largest eigenvalue of the reduced Hessian
-    Z^T W Z (-inf when the null space is empty).  W is the Hessian of the
-    maximization Lagrangian f - lam.c and Z spans the null space of the
-    equality Jacobian together with the rows of the active box bounds.
+    ``ev`` is ``_evaluate(problem, d)``.  Returns the objective, both
+    equality residuals, the box-aware stationarity norm, and the largest
+    eigenvalue of the reduced Hessian Z^T W Z (-inf when the null space is
+    empty).  W is the Hessian of the maximization Lagrangian f - lam.c and Z
+    spans the null space of the equality Jacobian together with the rows of
+    the active box bounds.
     """
-    f, gf = problem.objective(d)
-    c, J = _eval_constraints(problem, d)
+    f, gf, c, J = ev
     lam, *_ = np.linalg.lstsq(J.T, gf, rcond=None)
     r = gf - J.T @ lam
     # box-aware stationarity: at an active bound only the inward-pushing
@@ -400,8 +425,8 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
             j = (s - 1) % problem.dim
             mag = PERTURBATIONS[((s - 1) // problem.dim) % len(PERTURBATIONS)]
             d0[j] += mag if j % 2 == 0 else -mag
-        d, iters = _newton_kkt(problem, np.clip(d0, lo, hi), lo, hi, cfg.max_outer)
-        obj, eq_res, kkt, curvature = _final_report_parts(problem, d, lo, hi)
+        d, iters, ev = _newton_kkt(problem, np.clip(d0, lo, hi), lo, hi, cfg.max_outer)
+        obj, eq_res, kkt, curvature = _final_report_parts(problem, d, lo, hi, ev)
         converged = (max(abs(eq_res[0]), abs(eq_res[1])) <= cfg.tol_eq
                      and kkt <= cfg.tol_kkt and curvature < 0.0)
         report = SolveReport(

@@ -9,7 +9,15 @@ digits; solver output must match within 1e-5.
 oracle for the caliper sweep in ``smallpoly.geometry``;
 ``pairwise_mirror_distance`` is the all-pairs oracle for the sorted pairing
 in ``smallpoly.cli._mirror_distance``.
+
+``loop_b_closure_derivatives`` and ``loop_q_closure_hessian`` accumulate the
+closure-constraint derivatives of the optimizer's problems one term (one
+dense outer product) at a time, the oracle for the suffix sums in
+``smallpoly.optimizer``.  ``atan2_boundary_order`` is the per-vertex sort
+oracle for ``smallpoly.constructions._boundary_order``.
 """
+
+import math
 
 import numpy as np
 
@@ -171,3 +179,55 @@ def pairwise_mirror_distance(coords):
     dist = np.hypot(coords[:, None, 0] - mirrored[None, :, 0],
                     coords[:, None, 1] - mirrored[None, :, 1])
     return float(np.max(np.min(dist, axis=1)))
+
+
+def loop_b_closure_derivatives(n, d):
+    """Gradient and Hessian of the b closure constraint, one term at a time."""
+    m = n // 4
+    dim = m + 1
+    base = math.pi / n
+    a0 = base + d[0]
+    dev = d[0] + 2.0 * np.concatenate(([0.0], np.cumsum(d[1:m])))
+    phi = (2.0 * np.arange(1, m + 1) - 1.0) * base + dev
+    signs = np.array([-((-1.0) ** k) for k in range(2, m + 1)])
+    grad = np.zeros(dim)
+    grad[0] = math.cos(a0)
+    cos_phi = np.cos(phi)
+    for k in range(2, m + 1):
+        s = signs[k - 2] * cos_phi[k - 1]
+        grad[0] += s
+        grad[1:k] += 2.0 * s
+    H = np.zeros((dim, dim))
+    H[0, 0] = -math.sin(a0)
+    sin_phi = np.sin(phi)
+    for k in range(2, m + 1):
+        s = -((-1.0) ** k) * sin_phi[k - 1]
+        v = np.zeros(dim)
+        v[0] = 1.0
+        v[1:k] = 2.0
+        H -= s * np.outer(v, v)
+    return grad, H
+
+
+def loop_q_closure_hessian(n, d):
+    """Hessian of the q closure constraint, one term at a time."""
+    dim = n // 2
+    A = np.arange(1, dim + 1) * (math.pi / n) + np.cumsum(d)
+    signs = np.array([(-1.0) ** k for k in range(dim - 1)])
+    H = np.zeros((dim, dim))
+    for k in range(dim - 1):
+        v = np.zeros(dim)
+        v[: k + 1] = 1.0
+        H -= signs[k] * math.sin(A[k]) * np.outer(v, v)
+    return H
+
+
+def atan2_boundary_order(verts):
+    """Sort vertices by angle about the centroid, starting at the origin vertex."""
+    cx = math.fsum(x for x, _ in verts) / len(verts)
+    cy = math.fsum(y for _, y in verts) / len(verts)
+    order = sorted(range(len(verts)),
+                   key=lambda i: math.atan2(verts[i][1] - cy, verts[i][0] - cx))
+    first = min(order, key=lambda i: math.hypot(*verts[i]))
+    k = order.index(first)
+    return [verts[i] for i in order[k:] + order[:k]]

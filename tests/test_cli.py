@@ -389,3 +389,26 @@ def test_verify_passes_at_4096(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "4096")
     assert code == EXIT_OK
     assert out.splitlines()[-1] == "281/281 checks passed"
+
+
+@pytest.mark.parametrize("config", [
+    '{"tol_eq": Infinity, "tol_kkt": Infinity, "max_outer": 1}',
+    '{"tol_kkt": 1e400}',
+])
+def test_optimize_rejects_infinite_tolerances_as_usage_error(capsys, config):
+    code, out, err = run(capsys, "optimize", "--problem", "q", "--n", "8",
+                         "--config", config)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("vertices", ["[[0, 0], [1, 0], [NaN, 1]]",
+                                      "[[0, 0], [1, 0], [true, 1]]"])
+def test_measure_rejects_non_coordinates_as_data_error(tmp_path, capsys, vertices):
+    path = tmp_path / "bad.json"
+    path.write_text('{"vertices": ' + vertices + "}")
+    code, out, err = run(capsys, "measure", str(path))
+    assert code == EXIT_CHECK
+    assert out == ""
+    assert err.startswith("error: ")

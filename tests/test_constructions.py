@@ -28,9 +28,11 @@ from smallpoly import (
     tamvakis,
     width,
 )
-from smallpoly import area, closed_form
+from smallpoly import area, build_b_problem, build_q_problem, closed_form, solve
 
-from _reference import FIGURE_METRICS
+from smallpoly.constructions import _b_vertices, _q_vertices
+
+from _reference import FIGURE_METRICS, atan2_boundary_order
 
 POWERS_B = (8, 16, 32, 64, 128)
 POWERS_Q = (4, 8, 16, 32, 64, 128)
@@ -282,3 +284,27 @@ def test_angle_param_residual_helpers():
     qparam = q_angles(16)
     assert abs(qparam.angle_sum_residual()) <= 1e-14
     assert abs(qparam.closure_residual()) <= 1e-14
+
+
+def _atan2_ordered(vertices):
+    return np.array(atan2_boundary_order(vertices))
+
+
+@pytest.mark.parametrize("n", [2 ** s for s in range(3, 13)])
+def test_boundary_order_matches_the_atan2_sort(n):
+    b_param, q_param = b_angles(n), q_angles(n)
+    b_ref = _atan2_ordered(_b_vertices(n, b_param.alphas))
+    q_ref = _atan2_ordered(_q_vertices(n, q_param.alphas))
+    for poly, ref in ((b_family(n), b_ref), (from_angles_b(b_param), b_ref),
+                      (q_family(n), q_ref), (from_angles_q(q_param), q_ref)):
+        assert poly.xy.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", POWERS_B)
+def test_boundary_order_matches_the_atan2_sort_on_solved_angles(n):
+    b_alphas = solve(build_b_problem(n)).angles
+    q_alphas = solve(build_q_problem(n)).angles
+    b_ref = _atan2_ordered(_b_vertices(n, b_alphas))
+    q_ref = _atan2_ordered(_q_vertices(n, q_alphas))
+    assert from_angles_b(AngleParamB(n, b_alphas)).xy.tobytes() == b_ref.tobytes()
+    assert from_angles_q(AngleParamQ(n, q_alphas)).xy.tobytes() == q_ref.tobytes()

@@ -221,3 +221,31 @@ def test_vertices_are_a_point2_tuple():
     assert isinstance(poly.vertices, tuple)
     assert all(isinstance(v, Point2) for v in poly.vertices)
     assert [[v.x, v.y] for v in poly.vertices] == poly.xy.tolist()
+
+
+@pytest.mark.parametrize("vertices", [
+    "[[0, 0], [1, 0], [true, 1]]",
+    '[[0, 0], [1, 0], ["0.5", 1]]',
+    "[[0, 0], [1, 0], [null, 1]]",
+    "[[0, 0], [1, 0], [NaN, 1]]",
+    "[[0, 0], [1, 0], [Infinity, 1]]",
+    "[[0, 0], [1, 0], [-Infinity, 1]]",
+    "[[0, 0], [1, 0], [1e400, 1]]",
+    "[[0, 0], [1, 0], [1" + "0" * 400 + ", 1]]",
+    "[[0, 0], [1, 0], 7]",
+    "[[0, 0], [1, 0], {}]",
+    "[[0, 0], [1, 0], [[0], [1]]]",
+    "[[0, 0], [1, 0], [0, 1, 2]]",
+    "[[0, 0], [1, 0], [0]]",
+    '"abc"',
+], ids=["bool", "string", "null", "nan", "inf", "-inf", "float-overflow",
+        "int-overflow", "number-item", "object-item", "nested-item",
+        "long-row", "short-row", "string-vertices"])
+def test_json_rejects_every_non_coordinate(vertices):
+    with pytest.raises(InvalidPolygonError):
+        polygon_from_json('{"vertices": ' + vertices + "}")
+
+
+def test_json_accepts_integer_coordinates():
+    poly = polygon_from_json('{"vertices": [[0, 0], [1, 0], [0, 1]]}')
+    assert poly.xy.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]

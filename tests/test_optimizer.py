@@ -25,6 +25,8 @@ from _reference import (
     OPTIMAL_ANGLES_Q,
     OPTIMAL_PERIMETER_B,
     OPTIMAL_PERIMETER_Q,
+    loop_b_closure_derivatives,
+    loop_q_closure_hessian,
 )
 
 
@@ -269,6 +271,8 @@ def test_solver_config_from_json():
     '{"tol_eq": "x"}', '{"tol_kkt": [1e-9]}', '{"max_outer": "20"}',
     '{"starts": 0}', '{"starts": -3}', '{"starts": 1.5}', '{"starts": true}',
     '{"max_outer": 0}',
+    '{"tol_eq": Infinity}', '{"tol_kkt": 1e400}', '{"tol_eq": NaN}',
+    '{"tol_kkt": 1' + '0' * 400 + '}',
 ])
 def test_solver_config_from_json_rejects_bad_values(text):
     with pytest.raises(ValueError):
@@ -308,3 +312,60 @@ def test_report_json_round_trip():
     assert len(doc["angles"]) == 4
     assert doc["converged"] is True
     assert all(isinstance(a, float) for a in doc["angles"])
+
+
+def _bitwise_equal(a, b):
+    # np.array_equal treats 0.0 and -0.0 as equal; the bytes do not
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _oracle_points(problem):
+    """The warm start and four perturbations of it, clipped to the box."""
+    lo = problem.lower - problem.base_angle
+    hi = problem.upper - problem.base_angle
+    warm = problem.warm_start - problem.base_angle
+    rng = np.random.default_rng(problem.n)
+    return [warm] + [np.clip(warm + rng.uniform(-scale, scale, problem.dim), lo, hi)
+                     for scale in (1e-6, 1e-3, 1e-2, 1.0)]
+
+
+@pytest.mark.parametrize("n", [2 ** s for s in range(3, 12)])
+def test_b_closure_derivatives_equal_the_per_term_loops(n):
+    problem = build_b_problem(n)
+    closure, closure_hessian = problem.eq_constraints[1], problem.eq_hessians[1]
+    for d in _oracle_points(problem):
+        grad, H = loop_b_closure_derivatives(n, d)
+        assert _bitwise_equal(closure(d)[1], grad)
+        assert _bitwise_equal(closure_hessian(d), H)
+
+
+@pytest.mark.parametrize("n", [2 ** s for s in range(2, 11)])
+def test_q_closure_hessian_equals_the_per_term_loop(n):
+    problem = build_q_problem(n)
+    for d in _oracle_points(problem):
+        assert _bitwise_equal(problem.eq_hessians[1](d), loop_q_closure_hessian(n, d))
+
+
+@pytest.mark.parametrize("builder", [build_b_problem, build_q_problem])
+def test_closure_hessian_matches_finite_differences_at_64(builder):
+    problem = builder(64)
+    rng = np.random.default_rng(11)
+    d = (problem.warm_start - problem.base_angle) \
+        + rng.uniform(-5e-3, 5e-3, problem.dim)
+    closure, closure_hessian = problem.eq_constraints[1], problem.eq_hessians[1]
+    fd = np.column_stack([
+        _fd_gradient(lambda z, i=i: closure(z)[1][i], d)
+        for i in range(problem.dim)])
+    assert np.max(np.abs(closure_hessian(d) - fd)) <= 1e-6
+
+
+@pytest.mark.parametrize("builder,n", [
+    (build_b_problem, 1024), (build_b_problem, 2048),
+    (build_q_problem, 512), (build_q_problem, 1024),
+])
+def test_large_default_solve_is_certified_from_the_first_start(builder, n):
+    report = solve(builder(n))
+    assert report.converged
+    assert report.starts_used == 1
+    assert report.iterations <= 4
+    certify(report, n, report.family)
