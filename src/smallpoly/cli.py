@@ -296,14 +296,18 @@ def _pendant_line_miss(p: SmallPolygon, point: tuple[float, float]) -> float:
     return worst
 
 
+def _powers_of_two(first: int, n_max: int):
+    """first, 2 first, 4 first, ... up to n_max."""
+    n = first
+    while n <= n_max:
+        yield n
+        n *= 2
+
+
 def _family_instances(n_max: int):
-    for s in range(2, n_max.bit_length()):
-        n = 2 ** s
-        if n > n_max:
-            break
-        if n >= 4:
-            yield f"tamvakis n={n}", tamvakis(n), ("tamvakis", n)
-            yield f"q n={n}", q_family(n), ("q", n)
+    for n in _powers_of_two(4, n_max):
+        yield f"tamvakis n={n}", tamvakis(n), ("tamvakis", n)
+        yield f"q n={n}", q_family(n), ("q", n)
         if n >= 8:
             yield f"regular n={n}", regular(n), ("regular", n)
             yield f"regular-plus n={n}", regular_plus(n), ("regular-plus", n)
@@ -337,10 +341,7 @@ def verify_checks(n_max: int = 128,
               lambda p=poly, L=L, W=W: _closed_form_ok(p, L, W))
         check(f"unit-perimeter-scaling[{label}]", lambda p=poly: _scaling_ok(p))
 
-    for s in range(3, n_max.bit_length()):
-        n = 2 ** s
-        if n > n_max:
-            break
+    for n in _powers_of_two(8, n_max):
         poly = built[("b", n)]
         check(f"quarter-vertex[b n={n}]", lambda p=poly: _at_most(
             float(np.min(np.max(np.abs(p.xy - np.array([-0.5, 0.5])), axis=1))),
@@ -354,20 +355,14 @@ def verify_checks(n_max: int = 128,
             _mirror_distance(p.xy), 1e-12, "max miss"))
         check(f"round-trip[b n={n}]", lambda p=poly: _round_trip_ok(p, "b"))
 
-    for s in range(2, n_max.bit_length()):
-        n = 2 ** s
-        if n > n_max:
-            break
+    for n in _powers_of_two(4, n_max):
         poly = built[("q", n)]
         check(f"structure[q n={n}]", lambda p=poly, n=n: _structure_ok(p, (n - 1, 1)))
         check(f"mirror-symmetry[q n={n}]", lambda p=poly: _at_most(
             _mirror_distance(p.xy), 1e-12, "max miss"))
         check(f"round-trip[q n={n}]", lambda p=poly: _round_trip_ok(p, "q"))
 
-    for s in range(3, n_max.bit_length()):
-        n = 2 ** s
-        if n > n_max:
-            break
+    for n in _powers_of_two(8, n_max):
         check(f"orderings[n={n}]", lambda n=n: _orderings_ok(n))
 
     for law in ("b-perimeter", "b-width", "q-perimeter", "b-hat-width"):

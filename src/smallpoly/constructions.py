@@ -177,13 +177,17 @@ def tamvakis(n: int) -> SmallPolygon:
 
 
 @dataclass(frozen=True)
-class AngleParamB:
-    """Angle sequence (a_0 .. a_{n/4}) of the cycle-plus-pendants family.
+class _AngleParam:
+    """An angle sequence (a_0 .. a_{dim-1}) driving one diameter-graph family.
 
-    Feasibility: a_0 + 2 sum_{k=1}^{n/4-1} a_k + a_{n/4} = pi/2 (symmetry),
-    the half-cycle closure sin a_0 - sum_{k>=2} (-1)^k sin(phi_k) = -1/2
-    where phi_k = a_0 + 2 sum_{j<k} a_j, and the boxes 0 <= a_k <= pi/6
-    (pi/3 for the last angle).
+    Both families state feasibility in one form: the weighted angle sum
+    sum w_k a_k = pi/2 (symmetry), the half-cycle closure
+    const + sum_{r=0}^{dim-2} (-1)^r sin(phi_r) = 0 over the weighted running
+    sums phi_r = sum_{j<=r} w_j a_j, and the boxes 0 <= a_k <= upper_k.  Each
+    subclass states its family's data once: the least n (``_MIN_N``), the
+    number of angles (``_dim``), the closure constant (``_CLOSURE``), and
+    the weights and upper boxes as (first, middle, last) values.  The
+    optimizer builds its problem from the same weights, boxes and constant.
     """
 
     n: int
@@ -193,29 +197,39 @@ class AngleParamB:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "alphas", tuple(float(a) for a in alphas))
 
+    @classmethod
+    def weights(cls, dim: int) -> list[float]:
+        """Angle-sum weights of ``dim`` angles."""
+        first, middle, last = cls._WEIGHTS
+        return [first] + [middle] * (dim - 2) + [last]
+
+    @classmethod
+    def upper(cls, n: int) -> np.ndarray:
+        """Upper angle boxes at n; every lower box is 0."""
+        first, middle, last = cls._UPPER
+        return np.array([first] + [middle] * (cls._dim(n) - 2) + [last])
+
     def angle_sum_residual(self) -> float:
-        w = [1.0] + [2.0] * (len(self.alphas) - 2) + [1.0]
+        w = self.weights(len(self.alphas))
         return math.fsum(wi * ai for wi, ai in zip(w, self.alphas)) - math.pi / 2
 
     def closure_residual(self) -> float:
-        m = self.n // 4
-        terms = [math.sin(self.alphas[0]), 0.5]
-        run = self.alphas[0]
-        for k in range(2, m + 1):
-            run += 2 * self.alphas[k - 1]
-            terms.append(-((-1.0) ** k) * math.sin(run))
+        terms = [self._CLOSURE]
+        run = 0.0
+        for r, (w, a) in enumerate(zip(self.weights(len(self.alphas)), self.alphas[:-1])):
+            run += w * a
+            terms.append(((-1.0) ** r) * math.sin(run))
         return math.fsum(terms)
 
     def validate(self, sum_tol: float = ANGLE_SUM_TOL,
                  closure_tol: float = CLOSURE_TOL) -> None:
-        if not (is_power_of_two(self.n) and self.n >= 8):
-            raise InfeasibleAnglesError(f"need n = 2^s >= 8, got {self.n}")
-        if len(self.alphas) != self.n // 4 + 1:
+        if not (is_power_of_two(self.n) and self.n >= self._MIN_N):
+            raise InfeasibleAnglesError(f"need n = 2^s >= {self._MIN_N}, got {self.n}")
+        dim = self._dim(self.n)
+        if len(self.alphas) != dim:
             raise InfeasibleAnglesError(
-                f"need {self.n // 4 + 1} angles for n={self.n}, got {len(self.alphas)}")
-        m = self.n // 4
-        for k, a in enumerate(self.alphas):
-            hi = math.pi / 3 if k == m else math.pi / 6
+                f"need {dim} angles for n={self.n}, got {len(self.alphas)}")
+        for k, (a, hi) in enumerate(zip(self.alphas, self.upper(self.n).tolist())):
             if not (-BOX_TOL <= a <= hi + BOX_TOL):
                 raise InfeasibleAnglesError(f"angle {k} = {a} outside [0, {hi}]")
         rs = self.angle_sum_residual()
@@ -231,55 +245,38 @@ class AngleParamB:
                 and abs(self.closure_residual()) <= CLOSURE_TOL)
 
 
-@dataclass(frozen=True)
-class AngleParamQ:
-    """Angle sequence (a_0 .. a_{n/2-1}) of the odd-cycle family.
+class AngleParamB(_AngleParam):
+    """Angle sequence (a_0 .. a_{n/4}) of the cycle-plus-pendants family.
 
-    Feasibility: sum a_k = pi/2, the half-cycle closure
-    sum_{k=0}^{n/2-2} (-1)^k sin(A_k) = 1/2 with A_k the running sums, and
-    the boxes 0 <= a_0 <= pi/6, 0 <= a_k <= pi/3 otherwise.
+    Weights (1, 2, .., 2, 1), so phi_r = a_0 + 2 sum_{1<=j<=r} a_j; closure
+    constant 1/2; boxes 0 <= a_k <= pi/6 (pi/3 for the last angle).
     """
 
-    n: int
-    alphas: tuple[float, ...]
+    _MIN_N = 8
+    _CLOSURE = 0.5
+    _WEIGHTS = (1.0, 2.0, 1.0)
+    _UPPER = (math.pi / 6, math.pi / 6, math.pi / 3)
 
-    def __init__(self, n: int, alphas: Sequence[float]):
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in alphas))
+    @staticmethod
+    def _dim(n: int) -> int:
+        return n // 4 + 1
 
-    def angle_sum_residual(self) -> float:
-        return math.fsum(self.alphas) - math.pi / 2
 
-    def closure_residual(self) -> float:
-        run = 0.0
-        terms = [-0.5]
-        for k, a in enumerate(self.alphas[:-1]):
-            run += a
-            terms.append(((-1.0) ** k) * math.sin(run))
-        return math.fsum(terms)
+class AngleParamQ(_AngleParam):
+    """Angle sequence (a_0 .. a_{n/2-1}) of the odd-cycle family.
 
-    def validate(self, sum_tol: float = ANGLE_SUM_TOL,
-                 closure_tol: float = CLOSURE_TOL) -> None:
-        if not (is_power_of_two(self.n) and self.n >= 4):
-            raise InfeasibleAnglesError(f"need n = 2^s >= 4, got {self.n}")
-        if len(self.alphas) != self.n // 2:
-            raise InfeasibleAnglesError(
-                f"need {self.n // 2} angles for n={self.n}, got {len(self.alphas)}")
-        for k, a in enumerate(self.alphas):
-            hi = math.pi / 6 if k == 0 else math.pi / 3
-            if not (-BOX_TOL <= a <= hi + BOX_TOL):
-                raise InfeasibleAnglesError(f"angle {k} = {a} outside [0, {hi}]")
-        rs = self.angle_sum_residual()
-        rc = self.closure_residual()
-        if abs(rs) > sum_tol or abs(rc) > closure_tol:
-            raise InfeasibleAnglesError(
-                f"infeasible angles: sum residual {rs:.3e}, closure residual {rc:.3e}",
-                angle_sum_residual=rs, closure_residual=rc)
+    Unit weights, so phi_r = A_r is the running angle sum; closure constant
+    -1/2; boxes 0 <= a_0 <= pi/6, 0 <= a_k <= pi/3 otherwise.
+    """
 
-    def is_strict(self) -> bool:
-        """True when both residuals are within the exact-feasibility tolerances."""
-        return (abs(self.angle_sum_residual()) <= ANGLE_SUM_TOL
-                and abs(self.closure_residual()) <= CLOSURE_TOL)
+    _MIN_N = 4
+    _CLOSURE = -0.5
+    _WEIGHTS = (1.0, 1.0, 1.0)
+    _UPPER = (math.pi / 6, math.pi / 3, math.pi / 3)
+
+    @staticmethod
+    def _dim(n: int) -> int:
+        return n // 2
 
 
 def b_angles(n: int) -> AngleParamB:
@@ -354,9 +351,12 @@ def _q_vertices(n: int, alphas: Sequence[float]) -> list[tuple[float, float]]:
     return [v[i] for i in range(n)]
 
 
-def _angle_polygon(verts, params, strict: bool) -> SmallPolygon:
+def _from_angles(param: _AngleParam, vertices, variant: str) -> SmallPolygon:
+    param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
+    verts = _boundary_order(vertices(param.n, param.alphas))
+    params = {"variant": variant, "n": param.n, "alphas": list(param.alphas)}
     poly = SmallPolygon.from_coords(verts, Family.FROM_ANGLES, params)
-    if strict:
+    if param.is_strict():
         validate_small_polygon(poly)
     else:
         # rounding-level infeasibility shifts the half-cycle endpoint, so the
@@ -379,11 +379,7 @@ def from_angles_b(param: AngleParamB) -> SmallPolygon:
     are built as-is, with the unit-diameter bound slackened accordingly.
     Anything farther off raises :class:`InfeasibleAnglesError`.
     """
-    param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
-    verts = _boundary_order(_b_vertices(param.n, param.alphas))
-    return _angle_polygon(
-        verts, {"variant": "b", "n": param.n, "alphas": list(param.alphas)},
-        param.is_strict())
+    return _from_angles(param, _b_vertices, "b")
 
 
 def from_angles_q(param: AngleParamQ) -> SmallPolygon:
@@ -393,11 +389,7 @@ def from_angles_q(param: AngleParamQ) -> SmallPolygon:
     fully validated, rounding-grade sequences are built with a slackened
     diameter bound, and grossly infeasible ones are rejected.
     """
-    param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
-    verts = _boundary_order(_q_vertices(param.n, param.alphas))
-    return _angle_polygon(
-        verts, {"variant": "q", "n": param.n, "alphas": list(param.alphas)},
-        param.is_strict())
+    return _from_angles(param, _q_vertices, "q")
 
 
 def b_family(n: int) -> SmallPolygon:

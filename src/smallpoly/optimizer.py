@@ -1,11 +1,15 @@
 """Equality-constrained maximization of the two family perimeters.
 
-Both problems maximize a sum of half-angle sines over an angle sequence
-subject to a linear angle-sum constraint, a trigonometric closure
-constraint, and box bounds:
+Both problems are one trigonometric program over an angle sequence a with
+the family's weights w, closure constant and boxes:
 
-* "b": n/4+1 angles, objective 4 sin(a_0/2) + sum 8 sin(a_k/2) + 4 sin(a_m/2);
-* "q": n/2 angles, objective sum 4 sin(a_k/2).
+    max 4 sum w_k sin(a_k/2)  s.t.  sum w_k a_k = pi/2,
+    const + sum_r (-1)^r sin(phi_r) = 0,  0 <= a_k <= upper_k,
+
+with phi_r = sum_{j<=r} w_j a_j.  "b" has n/4+1 angles, weights
+(1, 2, .., 2, 1) and const 1/2; "q" has n/2 angles, unit weights and const
+-1/2.  :func:`_build_problem` writes the program once; each family adds only
+how it assembles the phases from deviations.
 
 The solver runs Newton's method on the KKT system (stationarity plus
 feasibility; Nocedal & Wright, *Numerical Optimization*, section 18.1)
@@ -168,23 +172,29 @@ def _suffix_sums(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=1)[:, -1]
 
 
-def _max_index(k: int) -> np.ndarray:
-    """The (k, k) index matrix max(i, j)."""
-    return np.maximum.outer(np.arange(k), np.arange(k))
+def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
+                   phases: Callable[[np.ndarray], np.ndarray]) -> NlpProblem:
+    """The perimeter problem of the family whose analytic member is ``warm``.
 
+    With the family's weights w, closure constant and boxes (read from its
+    angle-parameter class), the problem is
 
-def build_b_problem(n: int) -> NlpProblem:
-    """Perimeter problem of the cycle-plus-pendants family (n/4+1 angles)."""
-    warm = np.array(b_angles(n).alphas)  # also rejects n other than 2^s >= 8
-    m = n // 4
-    dim = m + 1
+        max 4 sum w_k sin(a_k/2)  s.t.  sum w_k a_k = pi/2,
+        const + sum_{r<dim-1} (-1)^r sin(phi_r) = 0,  0 <= a_k <= upper_k,
+
+    where ``phases(d)`` returns the closure phases phi_r = sum_{j<=r} w_j a_j
+    assembled from deviations.  Each phase moves with slope w_j in d_j for
+    j <= r, so the closure gradient is w * S and its Hessian
+    w_i w_j T[max(i, j)], with S and T the suffix sums of the signed cosine
+    and negated sine terms.
+    """
+    n, dim = warm.n, len(warm.alphas)
     base = math.pi / n
-    coef = np.full(dim, 8.0)
-    coef[0] = 4.0
-    coef[m] = 4.0
-    weights = np.full(dim, 2.0)
-    weights[0] = 1.0
-    weights[m] = 1.0
+    weights = np.array(warm.weights(dim))
+    coef = 4.0 * weights
+    const = warm._CLOSURE
+    index = np.arange(dim)
+    signs = (-1.0) ** index[:-1]
 
     def objective(d: np.ndarray) -> tuple[float, np.ndarray]:
         a = base + d
@@ -202,98 +212,48 @@ def build_b_problem(n: int) -> NlpProblem:
     def angle_sum_hessian(d: np.ndarray) -> np.ndarray:
         return np.zeros((dim, dim))
 
-    def _turn_angles(d: np.ndarray) -> np.ndarray:
-        # phi_k = a_0 + 2 sum_{j<k} a_j for k = 1..m, assembled from deviations
-        dev = d[0] + 2.0 * np.concatenate(([0.0], np.cumsum(d[1:m])))
-        return (2.0 * np.arange(1, m + 1) - 1.0) * base + dev
-
-    signs = np.array([-((-1.0) ** k) for k in range(2, m + 1)])
-
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
-        a0 = base + d[0]
-        phi = _turn_angles(d)
-        terms = [math.sin(a0), 0.5] + (signs * np.sin(phi[1:])).tolist()
-        val = math.fsum(terms)
-        # s_k = signs_k cos phi_k for k = 2..m; d/d a_0 takes every s_k, and
-        # d/d a_j (j >= 1) takes 2 s_k for each k > j
-        s = signs * np.cos(phi)[1:]
-        grad = np.empty(dim)
-        grad[0] = np.cumsum(np.concatenate(([math.cos(a0)], s)))[-1]
-        grad[1:] = 2.0 * _suffix_sums(s)
-        return val, grad
+        phi = phases(d)
+        val = math.fsum([const] + (signs * np.sin(phi)).tolist())
+        return val, weights * _suffix_sums(signs * np.cos(phi))
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
-        a0 = base + d[0]
-        phi = _turn_angles(d)
-        s = signs * np.sin(phi)[1:]
-        # H = -sum_k s_k v_k v_k^T with v_k = (1, 2, .., 2, 0, .., 0), 2 at 1..k-1
-        S = _suffix_sums(-s)
-        H = np.empty((dim, dim))
-        H[0, 0] = np.cumsum(np.concatenate(([-math.sin(a0)], -s)))[-1]
-        H[0, 1:] = H[1:, 0] = 2.0 * S
-        H[1:, 1:] = 4.0 * S[_max_index(m)]  # S[max(i, j) - 1] for i, j >= 1
-        return H
+        # H = -sum_r (-1)^r sin(phi_r) v_r v_r^T with v_r = w at 0..r, 0 after
+        T = _suffix_sums(-signs * np.sin(phases(d)))
+        return np.outer(weights, weights) * T[np.maximum.outer(index, index)]
 
-    upper = np.full(dim, math.pi / 6)
-    upper[m] = math.pi / 3
     return NlpProblem(
-        family="b", n=n, dim=dim, base_angle=base,
+        family=family, n=n, dim=dim, base_angle=base,
         objective=objective, objective_hessian=objective_hessian,
         eq_constraints=(angle_sum, closure),
         eq_hessians=(angle_sum_hessian, closure_hessian),
-        lower=np.zeros(dim), upper=upper, warm_start=warm,
+        lower=np.zeros(dim), upper=warm.upper(n), warm_start=np.array(warm.alphas),
     )
+
+
+def build_b_problem(n: int) -> NlpProblem:
+    """Perimeter problem of the cycle-plus-pendants family (n/4+1 angles)."""
+    warm = b_angles(n)  # also rejects n other than 2^s >= 8
+    m = n // 4
+    odd = (2.0 * np.arange(1, m + 1) - 1.0) * (math.pi / n)
+
+    def phases(d: np.ndarray) -> np.ndarray:
+        # phi_r = a_0 + 2 sum_{1<=j<=r} a_j = (2r+1) pi/n + deviations, r < m
+        return odd + (d[0] + 2.0 * np.concatenate(([0.0], np.cumsum(d[1:m]))))
+
+    return _build_problem("b", warm, phases)
 
 
 def build_q_problem(n: int) -> NlpProblem:
     """Perimeter problem of the odd-cycle family (n/2 angles)."""
-    warm = np.array(q_angles(n).alphas)  # also rejects n other than 2^s >= 4
-    dim = n // 2
-    base = math.pi / n
+    warm = q_angles(n)  # also rejects n other than 2^s >= 4
+    steps = np.arange(1, n // 2) * (math.pi / n)
 
-    def objective(d: np.ndarray) -> tuple[float, np.ndarray]:
-        a = base + d
-        return 4.0 * math.fsum(np.sin(a / 2).tolist()), 2.0 * np.cos(a / 2)
+    def phases(d: np.ndarray) -> np.ndarray:
+        # phi_r = A_r = a_0 + .. + a_r = (r+1) pi/n + deviations, r < n/2 - 1
+        return steps + np.cumsum(d)[:-1]
 
-    def objective_hessian(d: np.ndarray) -> np.ndarray:
-        a = base + d
-        return np.diag(-np.sin(a / 2))
-
-    def angle_sum(d: np.ndarray) -> tuple[float, np.ndarray]:
-        return math.fsum(d.tolist()), np.ones(dim)
-
-    def angle_sum_hessian(d: np.ndarray) -> np.ndarray:
-        return np.zeros((dim, dim))
-
-    def _running(d: np.ndarray) -> np.ndarray:
-        # A_k = (k+1) pi/n + sum of deviations up to k
-        return (np.arange(1, dim + 1)) * base + np.cumsum(d)
-
-    signs = np.array([(-1.0) ** k for k in range(dim - 1)])
-
-    def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
-        A = _running(d)
-        val = math.fsum([-0.5] + (signs * np.sin(A[:-1])).tolist())
-        contrib = signs * np.cos(A[:-1])
-        grad = np.concatenate((np.cumsum(contrib[::-1])[::-1], [0.0]))
-        return val, grad
-
-    def closure_hessian(d: np.ndarray) -> np.ndarray:
-        # H = -sum_k signs_k sin(A_k) v_k v_k^T with v_k = 1 at 0..k, so
-        # H[i, j] sums the terms k >= max(i, j)
-        A = _running(d)
-        c = signs * np.fromiter(map(math.sin, A[:-1].tolist()), float, dim - 1)
-        return _suffix_sums(-c)[_max_index(dim)]
-
-    upper = np.full(dim, math.pi / 3)
-    upper[0] = math.pi / 6
-    return NlpProblem(
-        family="q", n=n, dim=dim, base_angle=base,
-        objective=objective, objective_hessian=objective_hessian,
-        eq_constraints=(angle_sum, closure),
-        eq_hessians=(angle_sum_hessian, closure_hessian),
-        lower=np.zeros(dim), upper=upper, warm_start=warm,
-    )
+    return _build_problem("q", warm, phases)
 
 
 # ---------------------------------------------------------------------------

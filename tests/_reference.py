@@ -10,10 +10,10 @@ oracle for the caliper sweep in ``smallpoly.geometry``;
 ``pairwise_mirror_distance`` is the all-pairs oracle for the sorted pairing
 in ``smallpoly.cli._mirror_distance``.
 
-``loop_b_closure_derivatives`` and ``loop_q_closure_hessian`` accumulate the
-closure-constraint derivatives of the optimizer's problems one term (one
-dense outer product) at a time, the oracle for the suffix sums in
-``smallpoly.optimizer``.  ``atan2_boundary_order`` is the per-vertex sort
+``loop_b_closure_derivatives``, ``loop_q_closure_gradient`` and
+``loop_q_closure_hessian`` accumulate the closure-constraint derivatives of
+the optimizer's problems one term (one dense outer product) at a time, the
+oracle for the suffix sums in ``smallpoly.optimizer``.  ``atan2_boundary_order`` is the per-vertex sort
 oracle for ``smallpoly.constructions._boundary_order``.
 """
 
@@ -207,6 +207,17 @@ def loop_b_closure_derivatives(n, d):
         v[1:k] = 2.0
         H -= s * np.outer(v, v)
     return grad, H
+
+
+def loop_q_closure_gradient(n, d):
+    """Gradient of the q closure constraint, one term at a time."""
+    dim = n // 2
+    A = np.arange(1, dim + 1) * (math.pi / n) + np.cumsum(d)
+    cos_A = np.cos(A)
+    grad = np.zeros(dim)
+    for k in range(dim - 1):
+        grad[: k + 1] += (-1.0) ** k * cos_A[k]
+    return grad
 
 
 def loop_q_closure_hessian(n, d):

@@ -26,6 +26,7 @@ from _reference import (
     OPTIMAL_PERIMETER_B,
     OPTIMAL_PERIMETER_Q,
     loop_b_closure_derivatives,
+    loop_q_closure_gradient,
     loop_q_closure_hessian,
 )
 
@@ -344,6 +345,14 @@ def test_q_closure_hessian_equals_the_per_term_loop(n):
     problem = build_q_problem(n)
     for d in _oracle_points(problem):
         assert _bitwise_equal(problem.eq_hessians[1](d), loop_q_closure_hessian(n, d))
+
+
+@pytest.mark.parametrize("n", [2 ** s for s in range(2, 11)])
+def test_q_closure_gradient_equals_the_per_term_loop(n):
+    problem = build_q_problem(n)
+    for d in _oracle_points(problem):
+        grad = problem.eq_constraints[1](d)[1]
+        assert _bitwise_equal(grad, loop_q_closure_gradient(n, d))
 
 
 @pytest.mark.parametrize("builder", [build_b_problem, build_q_problem])
