@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 PI = math.pi
 
@@ -218,8 +219,9 @@ def mossinghoff_width(n: int) -> float:
 # Every law below states that n^p * (bound - value) tends to a constant.  The
 # raw differences underflow binary64 long before the limits stabilize (for
 # the cycle family's perimeter the gap is ~1e-20 at n = 2^12), so each gap is
-# evaluated through an algebraically equivalent product form that never
-# subtracts nearly equal quantities.
+# evaluated through an algebraically equivalent form that never subtracts
+# nearly equal quantities: a product, or for the subdivided-arc perimeters a
+# series whose leading parts cancel in exact rational arithmetic.
 # ---------------------------------------------------------------------------
 
 GAP_LAWS: dict[str, tuple[int, float]] = {
@@ -238,17 +240,20 @@ GAP_LAWS: dict[str, tuple[int, float]] = {
 }
 
 
-def _chord_deficit(h: float) -> float:
-    """1 - 2 sin(h/2) / h, by its alternating series (exact for |h| <= pi/3)."""
-    h2 = h * h
-    term = h2 / 24.0
-    total = 0.0
-    m = 1
-    while abs(term) > 1e-25 * max(total, 1e-300):
+def _chord_deficits(arcs: list[tuple[Fraction, Fraction]]) -> float:
+    """How far the chords fall short of arcs pi w_i cut into subarcs pi r_i.
+
+    Order m of the series contributes (-1)^(m+1) pi^(2m+1) c_m / (4^m (2m+1)!)
+    with c_m = sum_i w_i r_i^(2m) exact, so nearly equal arcs cancel unrounded.
+    """
+    total, m, scale = 0.0, 1, PI ** 3 / 24
+    while True:
+        term = scale * float(sum(w * r ** (2 * m) for w, r in arcs))
         total += term
+        if abs(term) <= 1e-17 * abs(total):
+            return total
         m += 1
-        term *= -h2 / (4 * (2 * m) * (2 * m + 1))
-    return total
+        scale *= -PI * PI / (4 * (2 * m) * (2 * m + 1))
 
 
 def gap_constants(family: str, n: int) -> float:
@@ -276,15 +281,11 @@ def gap_constants(family: str, n: int) -> float:
         return n ** 4 * math.tan(beta / 2) / (2 * n)
     if family == "tamvakis-perimeter":
         _require(is_power_of_two(n), f"tamvakis gap needs n = 2^s, got {n}")
-        k = n // 3
-        if n % 3 == 1:
-            lone, paired = PI / (3 * k + 3), PI / (3 * k)
-        else:
-            lone, paired = PI / (3 * k), PI / (3 * k + 3)
-        # chord-sum deficit of the three subdivided arcs minus the bound's
-        deficit = (2 * PI / 3) * _chord_deficit(paired) \
-            + (PI / 3) * _chord_deficit(lone) - PI * _chord_deficit(PI / n)
-        return n ** 4 * deficit
+        k, r = divmod(n, 3)
+        # three pi/3 arcs of k or k + 1 subarcs, less the bound's pi in n subarcs
+        arcs = [(Fraction(1, 3), Fraction(1, 3 * c))
+                for c in ((k, k, k + 1) if r == 1 else (k + 1, k + 1, k))]
+        return n ** 4 * _chord_deficits(arcs + [(Fraction(-1), Fraction(1, n))])
     if family == "regular-perimeter":
         _require(n % 2 == 0, "regular perimeter gap law applies to even n")
         return n ** 2 * (2 * n * math.sin(half) * 2 * math.sin(half / 2) ** 2)
@@ -293,10 +294,9 @@ def gap_constants(family: str, n: int) -> float:
         return n ** 2 * (2 * math.sin(3 * half / 2) * math.sin(half / 2))
     if family == "regular-plus-perimeter":
         _require(n % 2 == 0, "regular-plus gap laws apply to even n")
-        hs = PI / (n - 1)
-        deficit = (PI - hs) * _chord_deficit(hs) + hs * _chord_deficit(hs / 2) \
-            - PI * _chord_deficit(PI / n)
-        return n ** 3 * deficit
+        hs = Fraction(1, n - 1)
+        return n ** 3 * _chord_deficits([(1 - hs, hs), (hs, hs / 2),
+                                         (Fraction(-1), Fraction(1, n))])
     if family == "regular-plus-width":
         _require(n % 2 == 0, "regular-plus gap laws apply to even n")
         other = PI / (2 * n - 2)

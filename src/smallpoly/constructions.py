@@ -3,7 +3,8 @@
 Conventions shared by all constructions: the first vertex sits at the
 origin, the polygon lives in the half-plane y >= 0, the symmetry axis (when
 there is one) is the y-axis, and the emitted vertex order is the
-counterclockwise boundary order.
+counterclockwise boundary order.  Every construction builds its (n, 2)
+float64 vertex array directly.
 
 The two diameter-graph families are parametrized by angle sequences:
 
@@ -12,16 +13,19 @@ The two diameter-graph families are parametrized by angle sequences:
 * odd-cycle ("q"): an (n-1)-cycle plus a single pendant unit edge along the
   symmetry axis, driven by n/2 angles summing to pi/2.
 
+Both are one walk: the right half-cycle runs from the origin in unit steps
+(-1)^r (sin phi_r, cos phi_r), one cumulative sum over the phases phi_r that
+:class:`AngleParamB` / :class:`AngleParamQ` state for the walk and the
+closure condition alike; slices place the pendants, apex and mirror half.
 `from_angles_b` / `from_angles_q` rebuild polygons from raw angle sequences
 (the bridge used by the optimizer) and `extract_angles_b` / `extract_angles_q`
-invert them by walking the diameter graph.
+invert them, measuring every turn along the diameter cycle in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -56,9 +60,8 @@ class InfeasibleAnglesError(ValueError):
         self.closure_residual = closure_residual
 
 
-def _boundary_order(verts: list[tuple[float, float]]) -> np.ndarray:
+def _boundary_order(xy: np.ndarray) -> np.ndarray:
     """Sort strictly convex vertices CCW, starting from the origin vertex."""
-    xy = np.fromiter(chain.from_iterable(verts), float, 2 * len(verts)).reshape(-1, 2)
     cx = math.fsum(xy[:, 0].tolist()) / len(xy)
     cy = math.fsum(xy[:, 1].tolist()) / len(xy)
     ring = xy[np.argsort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx), kind="stable")]
@@ -90,8 +93,8 @@ def regular(n: int) -> SmallPolygon:
         radius = 0.5
     else:
         radius = 1.0 / (2.0 * math.cos(math.pi / (2 * n)))
-    verts = [(radius * math.sin(2 * math.pi * k / n),
-              radius - radius * math.cos(2 * math.pi * k / n)) for k in range(n)]
+    t = 2 * math.pi * np.arange(n) / n
+    verts = np.column_stack((radius * np.sin(t), radius - radius * np.cos(t)))
     return _polygon(verts, Family.REGULAR, {"n": n})
 
 
@@ -104,21 +107,28 @@ def regular_plus(n: int) -> SmallPolygon:
     """
     if n < 4 or n % 2 != 0:
         raise ValueError(f"need even n >= 4, got {n}")
-    base = regular(n - 1)
-    verts = base.xy.tolist()
     top = (n - 2) // 2  # apex goes between the two topmost vertices
-    verts = verts[: top + 1] + [(0.0, 1.0)] + verts[top + 1:]
+    verts = np.insert(regular(n - 1).xy, top + 1, (0.0, 1.0), axis=0)
     return _polygon(verts, Family.REGULAR_PLUS, {"n": n})
 
 
-def _arc_interior(center: tuple[float, float], start: tuple[float, float],
-                  subarcs: int, sweep: float) -> list[tuple[float, float]]:
+def _arc_interior(center: np.ndarray, start: np.ndarray, subarcs: int,
+                  sweep: float) -> np.ndarray:
     """Interior points subdividing a unit-radius CCW arc into equal subarcs."""
-    cx, cy = center
-    a0 = math.atan2(start[1] - cy, start[0] - cx)
-    step = sweep / subarcs
-    return [(cx + math.cos(a0 + i * step), cy + math.sin(a0 + i * step))
-            for i in range(1, subarcs)]
+    (cx, cy), (sx, sy) = center.tolist(), start.tolist()
+    t = math.atan2(sy - cy, sx - cx) + np.arange(1, subarcs) * (sweep / subarcs)
+    return np.column_stack((cx + np.cos(t), cy + np.sin(t)))
+
+
+def _reuleaux(corners: np.ndarray, subarcs: Sequence[int]) -> np.ndarray:
+    """Each corner, then its arc (about the opposite corner, sweeping pi/m)
+    cut into ``subarcs[i]`` equal subarcs."""
+    m = len(corners)
+    pieces = []
+    for i, count in enumerate(subarcs):
+        opposite = corners[(i + (m + 1) // 2) % m]
+        pieces += [corners[i:i + 1], _arc_interior(opposite, corners[i], count, math.pi / m)]
+    return np.concatenate(pieces)
 
 
 def reuleaux_subdivision(m: int, n: int) -> SmallPolygon:
@@ -133,14 +143,7 @@ def reuleaux_subdivision(m: int, n: int) -> SmallPolygon:
         raise ValueError(f"need odd m >= 3, got {m}")
     if n % m != 0:
         raise ValueError(f"need m | n, got m={m}, n={n}")
-    base = regular(m).xy.tolist()
-    per_arc = n // m
-    sweep = math.pi / m  # angular extent of each Reuleaux arc
-    verts: list[tuple[float, float]] = []
-    for i in range(m):
-        opposite = base[(i + (m + 1) // 2) % m]
-        verts.append(base[i])
-        verts.extend(_arc_interior(opposite, base[i], per_arc, sweep))
+    verts = _reuleaux(regular(m).xy, [n // m] * m)
     return _polygon(verts, Family.REULEAUX_SUB, {"m": m, "n": n})
 
 
@@ -155,20 +158,11 @@ def tamvakis(n: int) -> SmallPolygon:
     """
     if not (is_power_of_two(n) and n >= 4):
         raise ValueError(f"need n = 2^s >= 4, got {n}")
-    corner0 = (0.0, 0.0)
-    corner1 = (0.5, math.sqrt(3.0) / 2.0)
-    corner2 = (-0.5, math.sqrt(3.0) / 2.0)
+    corners = np.array([(0.0, 0.0), (0.5, math.sqrt(3.0) / 2.0), (-0.5, math.sqrt(3.0) / 2.0)])
     k, r = divmod(n, 3)
     top = k + 1 if r == 1 else k      # arc opposite the origin corner
     side = k if r == 1 else k + 1     # the two arcs meeting at the origin
-    sweep = math.pi / 3
-    verts = [corner0]
-    verts.extend(_arc_interior(corner2, corner0, side, sweep))
-    verts.append(corner1)
-    verts.extend(_arc_interior(corner0, corner1, top, sweep))
-    verts.append(corner2)
-    verts.extend(_arc_interior(corner1, corner2, side, sweep))
-    return _polygon(verts, Family.TAMVAKIS, {"n": n})
+    return _polygon(_reuleaux(corners, (side, top, side)), Family.TAMVAKIS, {"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +176,13 @@ class _AngleParam:
 
     Both families state feasibility in one form: the weighted angle sum
     sum w_k a_k = pi/2 (symmetry), the half-cycle closure
-    const + sum_{r=0}^{dim-2} (-1)^r sin(phi_r) = 0 over the weighted running
-    sums phi_r = sum_{j<=r} w_j a_j, and the boxes 0 <= a_k <= upper_k.  Each
+    const + sum_{r=0}^{dim-2} (-1)^r sin(phi_r) = 0 over the phases
+    phi_r = sum_{j<=r} w_j a_j, and the boxes 0 <= a_k <= upper_k.  Each
     subclass states its family's data once: the least n (``_MIN_N``), the
-    number of angles (``_dim``), the closure constant (``_CLOSURE``), and
-    the weights and upper boxes as (first, middle, last) values.  The
-    optimizer builds its problem from the same weights, boxes and constant.
+    number of angles (``_dim``), the closure constant (``_CLOSURE``), the
+    weights and upper boxes as (first, middle, last) values, and the phases
+    (``phases``), along which the vertex walk steps too.  The optimizer
+    builds its problem from the same weights, boxes and constant.
     """
 
     n: int
@@ -214,12 +209,8 @@ class _AngleParam:
         return math.fsum(wi * ai for wi, ai in zip(w, self.alphas)) - math.pi / 2
 
     def closure_residual(self) -> float:
-        terms = [self._CLOSURE]
-        run = 0.0
-        for r, (w, a) in enumerate(zip(self.weights(len(self.alphas)), self.alphas[:-1])):
-            run += w * a
-            terms.append(((-1.0) ** r) * math.sin(run))
-        return math.fsum(terms)
+        terms = _steps(self.phases(self.alphas))[:, 0]  # the walk's x increments
+        return math.fsum([self._CLOSURE] + terms.tolist())
 
     def validate(self, sum_tol: float = ANGLE_SUM_TOL,
                  closure_tol: float = CLOSURE_TOL) -> None:
@@ -248,8 +239,8 @@ class _AngleParam:
 class AngleParamB(_AngleParam):
     """Angle sequence (a_0 .. a_{n/4}) of the cycle-plus-pendants family.
 
-    Weights (1, 2, .., 2, 1), so phi_r = a_0 + 2 sum_{1<=j<=r} a_j; closure
-    constant 1/2; boxes 0 <= a_k <= pi/6 (pi/3 for the last angle).
+    Weights (1, 2, .., 2, 1); closure constant 1/2; boxes
+    0 <= a_k <= pi/6 (pi/3 for the last angle).
     """
 
     _MIN_N = 8
@@ -261,11 +252,17 @@ class AngleParamB(_AngleParam):
     def _dim(n: int) -> int:
         return n // 4 + 1
 
+    @staticmethod
+    def phases(alphas: Sequence[float]) -> np.ndarray:
+        """phi_r = a_0 + 2 (a_1 + .. + a_r) for r < n/4."""
+        a = np.asarray(alphas, dtype=float)
+        return a[0] + np.concatenate(([0.0], np.cumsum(2.0 * a[1:-1])))
+
 
 class AngleParamQ(_AngleParam):
     """Angle sequence (a_0 .. a_{n/2-1}) of the odd-cycle family.
 
-    Unit weights, so phi_r = A_r is the running angle sum; closure constant
+    Unit weights, so the phases are the running angle sums; closure constant
     -1/2; boxes 0 <= a_0 <= pi/6, 0 <= a_k <= pi/3 otherwise.
     """
 
@@ -277,6 +274,11 @@ class AngleParamQ(_AngleParam):
     @staticmethod
     def _dim(n: int) -> int:
         return n // 2
+
+    @staticmethod
+    def phases(alphas: Sequence[float]) -> np.ndarray:
+        """phi_r = a_0 + .. + a_r for r < n/2 - 1."""
+        return np.cumsum(np.asarray(alphas, dtype=float)[:-1])
 
 
 def b_angles(n: int) -> AngleParamB:
@@ -296,59 +298,45 @@ def q_angles(n: int) -> AngleParamQ:
 
 
 # ---------------------------------------------------------------------------
-# Coordinate recursions
+# The phase walk
 # ---------------------------------------------------------------------------
 
 
-def _b_vertices(n: int, alphas: Sequence[float]) -> list[tuple[float, float]]:
-    """Cycle-walk coordinates of the cycle-plus-pendants family.
+def _steps(phases: np.ndarray) -> np.ndarray:
+    """Unit steps (-1)^r (sin phi_r, cos phi_r), headings from the +y axis."""
+    steps = np.column_stack((np.sin(phases), np.cos(phases)))
+    steps[1::2] *= -1.0
+    return steps
 
-    Walks the right half of the diameter cycle from the origin with unit
-    steps in directions phi_k measured from the +y axis, alternating the step
-    sign, then drops the pendant endpoints and mirrors everything across the
-    y-axis.  The mirrored half reuses exact sign flips, so the vertex set is
-    exactly symmetric.
+
+def _walk(phases: np.ndarray) -> np.ndarray:
+    """Vertices 0 .. len(phases) of the walk from the origin along :func:`_steps`."""
+    return np.cumsum(np.vstack((np.zeros((1, 2)), _steps(phases))), axis=0)
+
+
+def _mirror(rows: np.ndarray) -> np.ndarray:
+    """``rows`` reflected across the y-axis by exact sign flips, in reverse order."""
+    return rows[::-1] * np.array([-1.0, 1.0])
+
+
+def _b_vertices(n: int, alphas: Sequence[float]) -> np.ndarray:
+    """Cycle-plus-pendants rows: the walk (vertices 0 .. n/4), its mirror,
+    the apex, and the pendant ends, one step back from walk vertex k along
+    phi_{k-1} + a_k, with their mirror; the vertex set is exactly symmetric.
     """
     m = n // 4
-    v: dict[int, tuple[float, float]] = {0: (0.0, 0.0), n // 2 + 1: (0.0, 1.0)}
-    run = 0.0  # 2 * sum of alphas[1..k-1]
-    for k in range(1, m + 1):
-        phi = alphas[0] + run
-        sign = 1.0 if k % 2 == 1 else -1.0  # = -(-1)^k
-        xk = v[k - 1][0] + sign * math.sin(phi)
-        yk = v[k - 1][1] + sign * math.cos(phi)
-        v[k] = (xk, yk)
-        v[n // 2 - k + 1] = (-xk, yk)
-        if k <= m - 1:
-            psi = phi + alphas[k]
-            xp = xk - sign * math.sin(psi)
-            yp = yk - sign * math.cos(psi)
-            v[k + n // 2 + 1] = (xp, yp)
-            v[n - k] = (-xp, yp)
-            run += 2 * alphas[k]
-    return [v[i] for i in range(n)]
+    a = np.asarray(alphas, dtype=float)
+    phi = AngleParamB.phases(a)
+    walk = _walk(phi)
+    pendants = walk[1:m] - _steps(phi[:-1] + a[1:m])
+    return np.concatenate((walk, _mirror(walk[1:]), [(0.0, 1.0)], pendants, _mirror(pendants)))
 
 
-def _q_vertices(n: int, alphas: Sequence[float]) -> list[tuple[float, float]]:
-    """Odd-cycle coordinates: unit steps with heading flipped each edge.
-
-    Edge k of the cycle points along ((-1)^k sin A_k, (-1)^k cos A_k) with
-    A_k the running angle sum, i.e. each step turns by pi + a_k; the right
-    half is walked explicitly and the rest mirrored, with the pendant apex
-    at (0, 1).
-    """
-    d = n // 2
-    v: dict[int, tuple[float, float]] = {0: (0.0, 0.0), n - 1: (0.0, 1.0)}
-    run = 0.0
-    for k in range(d - 1):
-        run += alphas[k]
-        sign = 1.0 if k % 2 == 0 else -1.0
-        v[k + 1] = (v[k][0] + sign * math.sin(run),
-                    v[k][1] + sign * math.cos(run))
-    for j in range(d, n - 1):
-        xm, ym = v[n - 1 - j]
-        v[j] = (-xm, ym)
-    return [v[i] for i in range(n)]
+def _q_vertices(n: int, alphas: Sequence[float]) -> np.ndarray:
+    """Odd-cycle rows: the walk (vertices 0 .. n/2 - 1, each step turning by
+    pi + a_k), its mirror and the pendant apex."""
+    walk = _walk(AngleParamQ.phases(alphas))
+    return np.concatenate((walk, _mirror(walk[1:]), [(0.0, 1.0)]))
 
 
 def _from_angles(param: _AngleParam, vertices, variant: str) -> SmallPolygon:
@@ -398,15 +386,13 @@ def b_family(n: int) -> SmallPolygon:
     Angles pi/n + (-1)^k beta with beta fixed by the closure condition; its
     perimeter is 2n sin(pi/2n) cos(beta/2) and its width cos(pi/2n + beta/2).
     """
-    param = b_angles(n)
-    verts = _boundary_order(_b_vertices(n, param.alphas))
+    verts = _boundary_order(_b_vertices(n, b_angles(n).alphas))
     return _polygon(verts, Family.B_FAMILY, {"n": n})
 
 
 def q_family(n: int) -> SmallPolygon:
     """The closed-form member of the odd-cycle family."""
-    param = q_angles(n)
-    verts = _boundary_order(_q_vertices(n, param.alphas))
+    verts = _boundary_order(_q_vertices(n, q_angles(n).alphas))
     return _polygon(verts, Family.Q_FAMILY, {"n": n})
 
 
@@ -443,37 +429,31 @@ def _cycle_walk(p: SmallPolygon, adj: dict[int, list[int]]) -> tuple[list[int], 
     return path, apex
 
 
-def _angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(u @ v))
+def _cycle_turns(p: SmallPolygon, count: int) -> np.ndarray:
+    """Angle at the origin between the pendant and the first cycle edge, then
+    the angles at cycle vertices 1 .. count between their cycle edges."""
+    path, apex = _cycle_walk(p, diameter_graph(p))
+    pts = p.xy[path[:count + 2]]
+    here = pts[:-1]
+    u = np.vstack((p.xy[apex], pts[:-2])) - here
+    v = pts[1:] - here
+    return np.arctan2(np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]),
+                      u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
 
 
 def extract_angles_b(p: SmallPolygon) -> AngleParamB:
     """Measure the defining angles of a cycle-plus-pendants polygon.
 
-    Walks the diameter cycle from the origin and measures interior angles
-    with atan2: the first angle against the pendant axis, then half the
-    turn at each interior cycle vertex, then the full turn at vertex n/4.
+    The first angle is measured against the pendant axis, then half the
+    turn at each interior cycle vertex (its pendant splits the turn into two
+    angles a_k), then the full turn at vertex n/4.
     """
-    n = p.n
-    m = n // 4
-    coords = p.xy
-    path, apex = _cycle_walk(p, diameter_graph(p))
-    pts = coords[path]
-    alphas = [_angle_between(coords[apex] - pts[0], pts[1] - pts[0])]
-    for k in range(1, m):
-        alphas.append(0.5 * _angle_between(pts[k - 1] - pts[k], pts[k + 1] - pts[k]))
-    alphas.append(_angle_between(pts[m - 1] - pts[m], pts[m + 1] - pts[m]))
-    return AngleParamB(n, alphas)
+    m = p.n // 4
+    turns = _cycle_turns(p, m)
+    turns[1:m] *= 0.5
+    return AngleParamB(p.n, turns)
 
 
 def extract_angles_q(p: SmallPolygon) -> AngleParamQ:
-    """Measure the defining angles of an odd-cycle polygon."""
-    n = p.n
-    d = n // 2
-    coords = p.xy
-    path, apex = _cycle_walk(p, diameter_graph(p))
-    pts = coords[path]
-    alphas = [_angle_between(coords[apex] - pts[0], pts[1] - pts[0])]
-    for k in range(1, d):
-        alphas.append(_angle_between(pts[k - 1] - pts[k], pts[k + 1] - pts[k]))
-    return AngleParamQ(n, alphas)
+    """Measure the defining angles of an odd-cycle polygon: the full turns."""
+    return AngleParamQ(p.n, _cycle_turns(p, p.n // 2 - 1))

@@ -184,8 +184,14 @@ def is_convex(p: SmallPolygon) -> bool:
     return p._convex
 
 
+def _scaled(coords: np.ndarray) -> np.ndarray:
+    """``coords`` times the power of two putting them in [-1, 1]: cross
+    products then neither overflow nor, for tiny polygons, underflow."""
+    return np.ldexp(coords, -int(np.frexp(np.max(np.abs(coords)))[1]))
+
+
 def _is_convex(coords: np.ndarray) -> bool:
-    e = _edge_vectors(coords)
+    e = _edge_vectors(_scaled(coords))
     nxt = np.roll(e, -1, axis=0)
     cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
     lengths = np.hypot(e[:, 0], e[:, 1])
@@ -225,8 +231,7 @@ def width(p: SmallPolygon) -> float:
 
 def _hull(coords: np.ndarray) -> np.ndarray:
     """CCW hull vertex indices (Andrew's monotone chain), collinear points dropped."""
-    # exact power-of-two scaling: no underflow in the cross products of tiny polygons
-    pts = np.ldexp(coords, -int(np.frexp(np.max(np.abs(coords)))[1])).tolist()
+    pts = _scaled(coords).tolist()
     order = np.lexsort((coords[:, 1], coords[:, 0])).tolist()
     hull: list[int] = []
     for chain in (order, order[::-1]):
@@ -304,16 +309,23 @@ def to_unit_perimeter(p: SmallPolygon) -> SmallPolygon:
 
 
 def measure(p: SmallPolygon) -> MetricsReport:
-    """Compute the full metrics report for a convex polygon."""
-    d, edges = diameter(p)
-    return MetricsReport(
-        perimeter=perimeter(p),
-        width=width(p),
-        diameter=d,
-        area=area(p),
-        convex=True,  # width() above rejects non-convex input
-        diameter_edges=edges,
-    )
+    """Compute the full metrics report for a convex polygon.
+
+    Raises :class:`InvalidPolygonError` when a metric overflows binary64.
+    """
+    try:
+        with np.errstate(over="raise"):
+            d, edges = diameter(p)
+            return MetricsReport(
+                perimeter=perimeter(p),
+                width=width(p),
+                diameter=d,
+                area=area(p),
+                convex=True,  # width() above rejects non-convex input
+                diameter_edges=edges,
+            )
+    except (FloatingPointError, OverflowError) as exc:
+        raise InvalidPolygonError(f"polygon metrics overflow binary64 ({exc})") from exc
 
 
 def small_polygon_violations(p: SmallPolygon) -> list[str]:

@@ -15,13 +15,21 @@ in ``smallpoly.cli._mirror_distance``.
 the optimizer's problems one term (one dense outer product) at a time, the
 oracle for the suffix sums in ``smallpoly.optimizer``.  ``atan2_boundary_order`` is the per-vertex sort
 oracle for ``smallpoly.constructions._boundary_order``.
+
+``loop_b_vertices`` and ``loop_q_vertices`` walk the two diameter-graph
+families one vertex at a time into a dict, and ``loop_extract_angles_b`` /
+``loop_extract_angles_q`` measure one angle at a time with ``math.atan2``:
+the oracles for the phase walk and the one-pass extraction in
+``smallpoly.constructions``.  ``loop_regular`` and ``loop_reuleaux`` are the
+per-vertex oracles for the regular polygon and the subdivided Reuleaux arcs.
 """
 
 import math
 
 import numpy as np
 
-from smallpoly.geometry import DIAMETER_TOL
+from smallpoly.constructions import _cycle_walk
+from smallpoly.geometry import DIAMETER_TOL, diameter_graph
 
 _CHUNK = 256  # row block for pairwise-distance / support-distance sweeps
 
@@ -242,3 +250,90 @@ def atan2_boundary_order(verts):
     first = min(order, key=lambda i: math.hypot(*verts[i]))
     k = order.index(first)
     return [verts[i] for i in order[k:] + order[:k]]
+
+
+def loop_b_vertices(n, alphas):
+    """Cycle-plus-pendants vertices: the right half-cycle walked step by step."""
+    m = n // 4
+    v = {0: (0.0, 0.0), n // 2 + 1: (0.0, 1.0)}
+    run = 0.0  # 2 * sum of alphas[1..k-1]
+    for k in range(1, m + 1):
+        phi = alphas[0] + run
+        sign = 1.0 if k % 2 == 1 else -1.0  # = -(-1)^k
+        xk = v[k - 1][0] + sign * math.sin(phi)
+        yk = v[k - 1][1] + sign * math.cos(phi)
+        v[k] = (xk, yk)
+        v[n // 2 - k + 1] = (-xk, yk)
+        if k <= m - 1:
+            psi = phi + alphas[k]
+            xp = xk - sign * math.sin(psi)
+            yp = yk - sign * math.cos(psi)
+            v[k + n // 2 + 1] = (xp, yp)
+            v[n - k] = (-xp, yp)
+            run += 2 * alphas[k]
+    return [v[i] for i in range(n)]
+
+
+def loop_q_vertices(n, alphas):
+    """Odd-cycle vertices: unit steps with the heading flipped each edge."""
+    d = n // 2
+    v = {0: (0.0, 0.0), n - 1: (0.0, 1.0)}
+    run = 0.0
+    for k in range(d - 1):
+        run += alphas[k]
+        sign = 1.0 if k % 2 == 0 else -1.0
+        v[k + 1] = (v[k][0] + sign * math.sin(run),
+                    v[k][1] + sign * math.cos(run))
+    for j in range(d, n - 1):
+        xm, ym = v[n - 1 - j]
+        v[j] = (-xm, ym)
+    return [v[i] for i in range(n)]
+
+
+def _angle_between(u, v):
+    return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(u @ v))
+
+
+def _loop_turns(p, count, halve):
+    path, apex = _cycle_walk(p, diameter_graph(p))
+    pts = p.xy[path]
+    alphas = [_angle_between(p.xy[apex] - pts[0], pts[1] - pts[0])]
+    for k in range(1, count + 1):
+        turn = _angle_between(pts[k - 1] - pts[k], pts[k + 1] - pts[k])
+        alphas.append(0.5 * turn if halve and k < count else turn)
+    return alphas
+
+
+def loop_extract_angles_b(p):
+    """Angles of a cycle-plus-pendants polygon, one cycle vertex at a time."""
+    return _loop_turns(p, p.n // 4, halve=True)
+
+
+def loop_extract_angles_q(p):
+    """Angles of an odd-cycle polygon, one cycle vertex at a time."""
+    return _loop_turns(p, p.n // 2 - 1, halve=False)
+
+
+def loop_regular(n):
+    """Vertices of the regular small n-gon, one at a time."""
+    radius = 0.5 if n % 2 == 0 else 1.0 / (2.0 * math.cos(math.pi / (2 * n)))
+    return [(radius * math.sin(2 * math.pi * k / n),
+             radius - radius * math.cos(2 * math.pi * k / n)) for k in range(n)]
+
+
+def loop_reuleaux(corners, subarcs):
+    """Each corner followed by the interior points of its arc, one at a time.
+
+    The arc leaving corner i is centered at the opposite corner, sweeps
+    pi/m and is split into ``subarcs[i]`` equal subarcs.
+    """
+    m = len(corners)
+    verts = []
+    for i, count in enumerate(subarcs):
+        cx, cy = corners[(i + (m + 1) // 2) % m]
+        a0 = math.atan2(corners[i][1] - cy, corners[i][0] - cx)
+        step = (math.pi / m) / count
+        verts.append(tuple(corners[i]))
+        verts.extend((cx + math.cos(a0 + j * step), cy + math.sin(a0 + j * step))
+                     for j in range(1, count))
+    return verts

@@ -1,9 +1,14 @@
 """End-to-end CLI tests: commands, exit codes, and output formats."""
 
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smallpoly import b_family, bounds, measure, perimeter, polygon_to_json, q_family
 from smallpoly.cli import (
@@ -412,3 +417,29 @@ def test_measure_rejects_non_coordinates_as_data_error(tmp_path, capsys, vertice
     assert code == EXIT_CHECK
     assert out == ""
     assert err.startswith("error: ")
+
+
+coordinate = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=12))
+@example([(0.0, 0.0), (1e308, 0.0), (0.0, 1e308)])
+@example([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)])
+def test_measure_exits_0_or_1_without_warnings_on_any_finite_polygon(vertices):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "polygon.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"vertices": vertices}, fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["measure", path]) in (EXIT_OK, EXIT_CHECK)
+
+
+def test_measure_reports_overflowing_metrics_as_one_error_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": [[0, 0], [1e308, 0], [0, 1e308]]}')
+    code, out, err = run(capsys, "measure", str(path))
+    assert code == EXIT_CHECK
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -32,7 +32,18 @@ from smallpoly import area, build_b_problem, build_q_problem, closed_form, solve
 
 from smallpoly.constructions import _b_vertices, _q_vertices
 
-from _reference import FIGURE_METRICS, atan2_boundary_order
+from _reference import (
+    FIGURE_METRICS,
+    OPTIMAL_ANGLES_B,
+    OPTIMAL_ANGLES_Q,
+    atan2_boundary_order,
+    loop_b_vertices,
+    loop_extract_angles_b,
+    loop_extract_angles_q,
+    loop_q_vertices,
+    loop_regular,
+    loop_reuleaux,
+)
 
 POWERS_B = (8, 16, 32, 64, 128)
 POWERS_Q = (4, 8, 16, 32, 64, 128)
@@ -308,3 +319,54 @@ def test_boundary_order_matches_the_atan2_sort_on_solved_angles(n):
     q_ref = _atan2_ordered(_q_vertices(n, q_alphas))
     assert from_angles_b(AngleParamB(n, b_alphas)).xy.tobytes() == b_ref.tobytes()
     assert from_angles_q(AngleParamQ(n, q_alphas)).xy.tobytes() == q_ref.tobytes()
+
+
+WALKS = {
+    "b": (_b_vertices, loop_b_vertices, b_angles, build_b_problem, OPTIMAL_ANGLES_B),
+    "q": (_q_vertices, loop_q_vertices, q_angles, build_q_problem, OPTIMAL_ANGLES_Q),
+}
+
+
+@pytest.mark.parametrize("family,n", [("b", 2 ** s) for s in range(3, 17)]
+                         + [("q", 2 ** s) for s in range(2, 17)])
+def test_phase_walk_equals_the_vertex_loop_byte_for_byte(family, n):
+    walk, loop, angles, build, published = WALKS[family]
+    sequences = [angles(n).alphas]
+    if n <= 1024:
+        sequences.append(solve(build(n)).angles)
+    if n in published:  # six-digit data, feasible only to rounding
+        sequences.append(published[n])
+    for alphas in sequences:
+        assert walk(n, alphas).tobytes() == np.array(loop(n, alphas)).tobytes()
+
+
+@pytest.mark.parametrize("family,n", [("b", 2 ** s) for s in range(3, 15)]
+                         + [("q", 2 ** s) for s in range(2, 15)])
+def test_extraction_is_within_one_ulp_of_the_per_vertex_loop(family, n):
+    if family == "b":
+        poly, extract, loop = b_family(n), extract_angles_b, loop_extract_angles_b
+    else:
+        poly, extract, loop = q_family(n), extract_angles_q, loop_extract_angles_q
+    got, ref = np.array(extract(poly).alphas), np.array(loop(poly))
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= np.spacing(ref))
+
+
+@pytest.mark.parametrize("n", list(range(3, 34)) + [2 ** s + k for s in range(6, 17)
+                                                    for k in (-1, 0)])
+def test_regular_equals_the_vertex_loop_byte_for_byte(n):
+    assert regular(n).xy.tobytes() == np.array(loop_regular(n)).tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(m, m * k) for m in (3, 5, 7) for k in (1, 2, 7, 64, 585)])
+def test_reuleaux_arcs_equal_the_vertex_loop_byte_for_byte(m, n):
+    ref = loop_reuleaux(regular(m).xy.tolist(), [n // m] * m)
+    assert reuleaux_subdivision(m, n).xy.tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("n", [2 ** s for s in range(2, 17)])
+def test_tamvakis_arcs_equal_the_vertex_loop_byte_for_byte(n):
+    k, r = divmod(n, 3)
+    subarcs = (k, k + 1, k) if r == 1 else (k + 1, k, k + 1)
+    corners = [(0.0, 0.0), (0.5, math.sqrt(3.0) / 2.0), (-0.5, math.sqrt(3.0) / 2.0)]
+    assert tamvakis(n).xy.tobytes() == np.array(loop_reuleaux(corners, subarcs)).tobytes()

@@ -1,10 +1,17 @@
-"""Default solves against the 40-digit KKT optimum of the paper's problems.
+"""Binary64 results against high-precision mpmath references.
 
-The reference optimum comes from ``perfbench/checks.py``, which states both
-perimeter problems from the paper's definitions in mpmath and solves their
-KKT system to 40 digits; nothing here is computed by ``smallpoly``'s own
-problem builders.  The bounds are the binary64 solve's own error: angles
-within n * 4e-16 and objectives within 1e-15 of the optimum.
+Default solves: the reference optimum comes from ``perfbench/checks.py``,
+which states both perimeter problems from the paper's definitions in mpmath
+and solves their KKT system to 40 digits; nothing here is computed by
+``smallpoly``'s own problem builders.  The bounds are the binary64 solve's
+own error: angles within n * 4e-16 and objectives within 1e-15 of the
+optimum.
+
+Closed forms and gap laws: every closed form, and every scaled gap
+n^p (bound - value) of ``GAP_LAWS``, evaluated from its definition at 50
+digits (the alternation offsets in their direct arcsin form, the Tamvakis
+perimeter as a chord sum over its three arcs), must match ``bounds`` to a
+relative 2e-15 at every power of two n = 4 .. 2^16 where it is defined.
 """
 
 import sys
@@ -12,7 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from smallpoly import build_b_problem, build_q_problem, solve
+from smallpoly import (
+    GAP_LAWS,
+    build_b_problem,
+    build_q_problem,
+    closed_form,
+    gap_constants,
+    solve,
+)
 
 mp = pytest.importorskip("mpmath")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -34,3 +48,80 @@ def test_default_solve_is_within_binary64_noise_of_the_optimum(family, n):
         assert len(report.angles) == prob.dim
         assert angle_error <= n * 4e-16
         assert abs(mp.mpf(report.objective) - objective) <= 1e-15
+
+
+REL_TOL = 2e-15
+POWERS = tuple(2 ** s for s in range(2, 17))
+LEAST_N = {"regular-plus": 4, "tamvakis": 4, "q": 4, "b": 8, "b-hat": 8}
+
+
+def _tamvakis_arcs(n):
+    k, r = divmod(n, 3)
+    return (k, k + 1, k) if r == 1 else (k + 1, k, k + 1)
+
+
+def mp_closed_form(family, n):
+    """(perimeter, width) of a family member at the working precision."""
+    pi = mp.pi
+    half = pi / (2 * n)
+    beta = pi / n - mp.asin(mp.sin(2 * pi / n) / 2)
+    gamma = pi / 4 - mp.asin(mp.cos(pi / n) / mp.sqrt(2))
+    if family == "regular":
+        if n % 2:
+            return 2 * n * mp.sin(half), mp.cos(half)
+        return n * mp.sin(pi / n), mp.cos(pi / n)
+    if family == "regular-plus":
+        odd = pi / (2 * n - 2)
+        return (2 * n - 2) * mp.sin(odd) - 2 * mp.sin(odd) + 4 * mp.sin(odd / 2), mp.cos(odd)
+    if family == "tamvakis":
+        arcs = _tamvakis_arcs(n)
+        return (sum(2 * k * mp.sin(pi / (6 * k)) for k in arcs),
+                mp.cos(pi / (6 * min(arcs))))
+    if family == "b":
+        return 2 * n * mp.sin(half) * mp.cos(beta / 2), mp.cos(half + beta / 2)
+    if family == "q":
+        return 2 * n * mp.sin(half) * mp.cos(gamma / 2), mp.cos(half + gamma / 2)
+    if family == "regular-hat":
+        return mp.mpf(1), (mp.cot(half) / (2 * n) if n % 2 else mp.cot(pi / n) / n)
+    if family == "b-hat":
+        return mp.mpf(1), (mp.cot(half) - mp.tan(beta / 2)) / (2 * n)
+    raise KeyError(family)
+
+
+def _assert_close(got, ref):
+    assert abs(mp.mpf(got) - ref) <= REL_TOL * abs(ref), (got, ref)
+
+
+@pytest.mark.parametrize("family", ["regular", "regular-plus", "tamvakis", "b", "q",
+                                    "regular-hat", "b-hat"])
+def test_closed_forms_match_50_digit_definitions(family):
+    odd = (3, 5, 7, 9, 1023, 4095) if family in ("regular", "regular-hat") else ()
+    with mp.workdps(50):
+        for n in odd + POWERS:
+            if n < LEAST_N.get(family, 3):
+                continue
+            for got, ref in zip(closed_form(family, n), mp_closed_form(family, n)):
+                _assert_close(got, ref)
+
+
+def mp_scaled_gap(law, n):
+    """n^p (bound - value) of a gap law at the working precision."""
+    family, metric = law.rsplit("-", 1)
+    half = mp.pi / (2 * n)
+    if metric == "perimeter":
+        bound = 2 * n * mp.sin(half)
+    elif family.endswith("-hat"):
+        bound = mp.cot(half) / (2 * n)
+    else:
+        bound = mp.cos(half)
+    value = mp_closed_form(family, n)[0 if metric == "perimeter" else 1]
+    return mp.mpf(n) ** GAP_LAWS[law][0] * (bound - value)
+
+
+@pytest.mark.parametrize("law", sorted(GAP_LAWS))
+def test_every_gap_law_matches_its_50_digit_difference(law):
+    family = law.rsplit("-", 1)[0]
+    with mp.workdps(50):
+        for n in POWERS:
+            if n >= LEAST_N.get(family, 4):
+                _assert_close(gap_constants(law, n), mp_scaled_gap(law, n))
