@@ -18,8 +18,8 @@ import numpy as np
 
 from . import bounds
 from .constructions import (
-    _cycle_walk,
     b_family,
+    diameter_cycle,
     extract_angles_b,
     extract_angles_q,
     from_angles_b,
@@ -37,7 +37,6 @@ from .geometry import (
     _json17,
     area,
     diameter,
-    diameter_graph,
     measure,
     perimeter,
     polygon_from_json,
@@ -124,13 +123,22 @@ def build_polygon(family: str, n: int, m: int | None = None) -> SmallPolygon:
 
 
 def render_svg(p: SmallPolygon) -> str:
-    """SVG figure: dashed boundary edges, solid diameter-graph edges."""
+    """SVG figure: dashed boundary edges, solid diameter-graph edges.
+
+    Raises :class:`InvalidPolygonError` when the figure overflows binary64.
+    """
     coords = p.xy
     pad = 0.05
-    xmin, ymin = coords.min(axis=0) - pad
-    xmax, ymax = coords.max(axis=0) + pad
-    w = (xmax - xmin) * SVG_SCALE
-    h = (ymax - ymin) * SVG_SCALE
+    try:
+        # every pixel coordinate is at most w or h, so only these can overflow
+        with np.errstate(over="raise"):
+            _, edges = diameter(p)
+            xmin, ymin = coords.min(axis=0) - pad
+            xmax, ymax = coords.max(axis=0) + pad
+            w = (xmax - xmin) * SVG_SCALE
+            h = (ymax - ymin) * SVG_SCALE
+    except (FloatingPointError, OverflowError) as exc:
+        raise InvalidPolygonError(f"SVG coordinates overflow binary64 ({exc})") from exc
 
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (x - xmin) * SVG_SCALE, (ymax - y) * SVG_SCALE
@@ -147,7 +155,6 @@ def render_svg(p: SmallPolygon) -> str:
             f'<line class="boundary" x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
             f'y2="{y2:.2f}" stroke="black" stroke-width="1.5" stroke-dasharray="6 4"/>'
         )
-    _, edges = diameter(p)
     for i, j in edges:
         x1, y1 = to_px(coords[i, 0], coords[i, 1])
         x2, y2 = to_px(coords[j, 0], coords[j, 1])
@@ -265,35 +272,23 @@ def _mirror_distance(coords: np.ndarray) -> float:
     return float(np.max(np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])))
 
 
-def _pendant_edges(adj: dict[int, list[int]]) -> list[tuple[int, int]]:
-    """Diameter-graph edges (i < j) with an endpoint of degree one."""
-    return [(i, j) for i, nbrs in adj.items() for j in nbrs
-            if i < j and 1 in (len(nbrs), len(adj[j]))]
-
-
 def _graph_structure(p: SmallPolygon) -> tuple[int, int]:
     """(cycle length, pendant count) of the diameter graph of a b or q polygon.
 
     Raises ValueError when the graph is not a single cycle through the
     origin vertex plus pendants.
     """
-    adj = diameter_graph(p)
-    cycle, _ = _cycle_walk(p, adj)
-    if len(cycle) - 1 != sum(len(nbrs) > 1 for nbrs in adj.values()):
-        raise ValueError("diameter graph has more than one cycle component")
-    return len(cycle) - 1, len(_pendant_edges(adj))
+    cycle, pendants, _ = diameter_cycle(p)
+    return len(cycle) - 1, len(pendants)
 
 
 def _pendant_line_miss(p: SmallPolygon, point: tuple[float, float]) -> float:
     """Largest distance from `point` to any pendant edge's supporting line."""
-    coords = p.xy
-    worst = 0.0
-    px, py = point
-    for i, j in _pendant_edges(diameter_graph(p)):
-        (ax, ay), (bx, by) = coords[i], coords[j]
-        worst = max(worst, abs((bx - ax) * (py - ay) - (by - ay) * (px - ax))
-                    / math.hypot(bx - ax, by - ay))
-    return worst
+    _, pendants, _ = diameter_cycle(p)
+    a, b = p.xy[pendants[:, 0]], p.xy[pendants[:, 1]]
+    d, r = b - a, np.asarray(point) - a
+    cross = np.abs(d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0])
+    return float(np.max(cross / np.hypot(d[:, 0], d[:, 1]), initial=0.0))
 
 
 def _powers_of_two(first: int, n_max: int):
@@ -442,7 +437,8 @@ def _orderings_ok(n: int) -> tuple[bool, str]:
 def _file_ok(path: str) -> tuple[bool, str]:
     with open(path, "r", encoding="utf-8") as fh:
         poly = polygon_from_json(fh.read())
-    problems = small_polygon_violations(poly)
+    with np.errstate(over="raise"):  # an overflowing sweep fails the check
+        problems = small_polygon_violations(poly)
     return not problems, "; ".join(problems)
 
 

@@ -20,6 +20,8 @@ closure condition alike; slices place the pendants, apex and mirror half.
 `from_angles_b` / `from_angles_q` rebuild polygons from raw angle sequences
 (the bridge used by the optimizer) and `extract_angles_b` / `extract_angles_q`
 invert them, measuring every turn along the diameter cycle in one pass.
+:func:`diameter_cycle` reads that cycle off the edge array at a fixed stride
+(any two diameters meet, by Hopf and Pannwitz), with no graph walk.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .geometry import (
     Family,
     SmallPolygon,
     diameter,
-    diameter_graph,
     small_polygon_violations,
     validate_small_polygon,
 )
@@ -61,12 +62,13 @@ class InfeasibleAnglesError(ValueError):
 
 
 def _boundary_order(xy: np.ndarray) -> np.ndarray:
-    """Sort strictly convex vertices CCW, starting from the origin vertex."""
+    """Indices of points in convex position in CCW order, starting from the
+    point nearest the origin; the order does not depend on the row order."""
     cx = math.fsum(xy[:, 0].tolist()) / len(xy)
     cy = math.fsum(xy[:, 1].tolist()) / len(xy)
-    ring = xy[np.argsort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx), kind="stable")]
-    first = int(np.argmin(np.hypot(ring[:, 0], ring[:, 1])))
-    return np.roll(ring, -first, axis=0)
+    order = np.argsort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx), kind="stable")
+    first = int(np.argmin(np.hypot(xy[order, 0], xy[order, 1])))
+    return np.roll(order, -first)
 
 
 def _polygon(verts, family, params) -> SmallPolygon:
@@ -341,7 +343,8 @@ def _q_vertices(n: int, alphas: Sequence[float]) -> np.ndarray:
 
 def _from_angles(param: _AngleParam, vertices, variant: str) -> SmallPolygon:
     param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
-    verts = _boundary_order(vertices(param.n, param.alphas))
+    verts = vertices(param.n, param.alphas)
+    verts = verts[_boundary_order(verts)]
     params = {"variant": variant, "n": param.n, "alphas": list(param.alphas)}
     poly = SmallPolygon.from_coords(verts, Family.FROM_ANGLES, params)
     if param.is_strict():
@@ -386,14 +389,14 @@ def b_family(n: int) -> SmallPolygon:
     Angles pi/n + (-1)^k beta with beta fixed by the closure condition; its
     perimeter is 2n sin(pi/2n) cos(beta/2) and its width cos(pi/2n + beta/2).
     """
-    verts = _boundary_order(_b_vertices(n, b_angles(n).alphas))
-    return _polygon(verts, Family.B_FAMILY, {"n": n})
+    verts = _b_vertices(n, b_angles(n).alphas)
+    return _polygon(verts[_boundary_order(verts)], Family.B_FAMILY, {"n": n})
 
 
 def q_family(n: int) -> SmallPolygon:
     """The closed-form member of the odd-cycle family."""
-    verts = _boundary_order(_q_vertices(n, q_angles(n).alphas))
-    return _polygon(verts, Family.Q_FAMILY, {"n": n})
+    verts = _q_vertices(n, q_angles(n).alphas)
+    return _polygon(verts[_boundary_order(verts)], Family.Q_FAMILY, {"n": n})
 
 
 # ---------------------------------------------------------------------------
@@ -401,39 +404,48 @@ def q_family(n: int) -> SmallPolygon:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_walk(p: SmallPolygon, adj: dict[int, list[int]]) -> tuple[list[int], int]:
-    """Walk the cycle of the diameter graph ``adj`` from the origin vertex back to it.
+def diameter_cycle(p: SmallPolygon) -> tuple[np.ndarray, np.ndarray, int]:
+    """The diameter graph of a b or q polygon as (cycle, pendant edges, apex).
 
-    Returns (cycle vertex indices v_0 .. v_0, apex index).  The walk starts
-    toward positive x; pendant neighbors (degree one) are excluded from the cycle.
+    ``cycle`` lists v_0 .. v_0 of the one cycle, from the origin vertex toward
+    positive x; the (P, 2) pendant edges have an end of degree one; ``apex``
+    ends the origin's pendant.  Any two diameters of a planar point set meet
+    (Hopf and Pannwitz), so an odd cycle of m diameters visits the CCW-ordered
+    vertices of degree >= 2 at stride (m -+ 1)/2; every stride pair is then
+    looked up among the edges.  Raises ValueError unless the graph is one
+    cycle through the origin vertex plus pendants, exactly one at the origin.
     """
-    coords = p.xy
-    origin = int(np.argmin(np.hypot(coords[:, 0], coords[:, 1])))
-    if math.hypot(*coords[origin]) > 1e-9:
+    xy, n = p.xy, p.n
+    edges = np.array(diameter(p)[1], dtype=np.intp).reshape(-1, 2)
+    degree = np.bincount(edges.ravel(), minlength=n)
+    origin = int(np.argmin(np.hypot(xy[:, 0], xy[:, 1])))
+    if math.hypot(*xy[origin]) > 1e-9:
         raise ValueError("polygon has no vertex at the origin")
-    pendants = [j for j in adj[origin] if len(adj[j]) == 1]
-    if len(pendants) != 1:
-        raise ValueError("origin vertex must carry exactly one pendant edge")
-    apex = pendants[0]
-    cycle_nbrs = [j for j in adj[origin] if len(adj[j]) >= 2]
-    if len(cycle_nbrs) != 2:
+    ring = np.flatnonzero(degree >= 2)
+    if degree[origin] < 2 or len(ring) < 3:
         raise ValueError("origin vertex must lie on the diameter cycle")
-    first = max(cycle_nbrs, key=lambda j: coords[j][0])
-    path = [origin, first]
-    while path[-1] != origin:
-        here = path[-1]
-        nxt = [j for j in adj[here] if len(adj[j]) >= 2 and j != path[-2]]
-        if len(nxt) != 1:
-            raise ValueError("diameter graph is not a simple cycle with pendants")
-        path.append(nxt[0])
-    return path, apex
+    ring = ring[_boundary_order(xy[ring])]
+    m = len(ring)
+    stride = (m - 1) // 2
+    if xy[ring[m - stride], 0] > xy[ring[stride], 0]:
+        stride = m - stride
+    cycle = ring[np.arange(m + 1) * stride % m]
+    steps = np.sort(np.column_stack((cycle[:-1], cycle[1:])), axis=1)
+    core = np.all(degree[edges] >= 2, axis=1)
+    if not np.array_equal(np.sort(steps @ (n, 1)), np.sort(edges[core] @ (n, 1))):
+        raise ValueError("diameter graph is not a simple cycle with pendants")
+    pendants = edges[~core]
+    at_origin = pendants[np.any(pendants == origin, axis=1)]
+    if len(at_origin) != 1:
+        raise ValueError("origin vertex must carry exactly one pendant edge")
+    return cycle, pendants, int(at_origin.sum()) - origin  # the pendant's other end
 
 
 def _cycle_turns(p: SmallPolygon, count: int) -> np.ndarray:
     """Angle at the origin between the pendant and the first cycle edge, then
     the angles at cycle vertices 1 .. count between their cycle edges."""
-    path, apex = _cycle_walk(p, diameter_graph(p))
-    pts = p.xy[path[:count + 2]]
+    cycle, _, apex = diameter_cycle(p)
+    pts = p.xy[cycle[:count + 2]]
     here = pts[:-1]
     u = np.vstack((p.xy[apex], pts[:-2])) - here
     v = pts[1:] - here

@@ -278,15 +278,6 @@ def _sweep(coords: np.ndarray, hull: np.ndarray) -> tuple[float, tuple[tuple[int
     return dmax, tuple(zip(lo[~loop].tolist(), hi[~loop].tolist()))
 
 
-def diameter_graph(p: SmallPolygon) -> dict[int, list[int]]:
-    """Adjacency lists of the diameter graph; vertex i has degree ``len(adj[i])``."""
-    adj: dict[int, list[int]] = {i: [] for i in range(p.n)}
-    for i, j in diameter(p)[1]:
-        adj[i].append(j)
-        adj[j].append(i)
-    return adj
-
-
 def area(p: SmallPolygon) -> float:
     """Shoelace area; positive for simple CCW polygons."""
     x, y = p.xy[:, 0], p.xy[:, 1]

@@ -22,14 +22,17 @@ families one vertex at a time into a dict, and ``loop_extract_angles_b`` /
 the oracles for the phase walk and the one-pass extraction in
 ``smallpoly.constructions``.  ``loop_regular`` and ``loop_reuleaux`` are the
 per-vertex oracles for the regular polygon and the subdivided Reuleaux arcs.
+
+``diameter_graph`` (adjacency lists) and ``cycle_walk`` (one vertex at a
+time along them) are the oracle for the stride order of
+``smallpoly.constructions.diameter_cycle``.
 """
 
 import math
 
 import numpy as np
 
-from smallpoly.constructions import _cycle_walk
-from smallpoly.geometry import DIAMETER_TOL, diameter_graph
+from smallpoly.geometry import DIAMETER_TOL, diameter
 
 _CHUNK = 256  # row block for pairwise-distance / support-distance sweeps
 
@@ -290,12 +293,49 @@ def loop_q_vertices(n, alphas):
     return [v[i] for i in range(n)]
 
 
+def diameter_graph(p):
+    """Adjacency lists of the diameter graph; vertex i has degree ``len(adj[i])``."""
+    adj = {i: [] for i in range(p.n)}
+    for i, j in diameter(p)[1]:
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def cycle_walk(p, adj):
+    """Walk the cycle of the diameter graph ``adj`` from the origin vertex back to it.
+
+    Returns (cycle vertex indices v_0 .. v_0, apex index).  The walk starts
+    toward positive x; pendant neighbors (degree one) are excluded from the cycle.
+    """
+    coords = p.xy
+    origin = int(np.argmin(np.hypot(coords[:, 0], coords[:, 1])))
+    if math.hypot(*coords[origin]) > 1e-9:
+        raise ValueError("polygon has no vertex at the origin")
+    pendants = [j for j in adj[origin] if len(adj[j]) == 1]
+    if len(pendants) != 1:
+        raise ValueError("origin vertex must carry exactly one pendant edge")
+    apex = pendants[0]
+    cycle_nbrs = [j for j in adj[origin] if len(adj[j]) >= 2]
+    if len(cycle_nbrs) != 2:
+        raise ValueError("origin vertex must lie on the diameter cycle")
+    first = max(cycle_nbrs, key=lambda j: coords[j][0])
+    path = [origin, first]
+    while path[-1] != origin:
+        here = path[-1]
+        nxt = [j for j in adj[here] if len(adj[j]) >= 2 and j != path[-2]]
+        if len(nxt) != 1:
+            raise ValueError("diameter graph is not a simple cycle with pendants")
+        path.append(nxt[0])
+    return path, apex
+
+
 def _angle_between(u, v):
     return math.atan2(abs(u[0] * v[1] - u[1] * v[0]), float(u @ v))
 
 
 def _loop_turns(p, count, halve):
-    path, apex = _cycle_walk(p, diameter_graph(p))
+    path, apex = cycle_walk(p, diameter_graph(p))
     pts = p.xy[path]
     alphas = [_angle_between(p.xy[apex] - pts[0], pts[1] - pts[0])]
     for k in range(1, count + 1):

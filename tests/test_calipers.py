@@ -22,9 +22,10 @@ from smallpoly import (
     width,
 )
 from smallpoly.cli import _graph_structure, build_polygon
-from smallpoly.geometry import _hull, _sweep, diameter_graph
+from smallpoly.constructions import diameter_cycle
+from smallpoly.geometry import _hull, _sweep
 
-from _reference import pairwise_diameter, pairwise_width
+from _reference import cycle_walk, diameter_graph, pairwise_diameter, pairwise_width
 
 POWERS = tuple(2 ** s for s in range(2, 13))
 FAMILY_CASES = (
@@ -103,15 +104,36 @@ def test_star_polygon_is_not_convex():
         width(star)
 
 
+def _degrees(poly):
+    cycle, pendants, _ = diameter_cycle(poly)
+    ends = np.concatenate((cycle[:-1], cycle[1:], pendants.ravel()))
+    return sorted(np.bincount(ends, minlength=poly.n).tolist())
+
+
 def test_diameter_graph_degrees():
     # q: an (n-1)-cycle plus one pendant; b: an (n/2+1)-cycle plus n/2-1 pendants
-    degrees = [len(nbrs) for nbrs in diameter_graph(q_family(8)).values()]
-    assert sorted(degrees) == [1] + [2] * 6 + [3]
-    degrees = [len(nbrs) for nbrs in diameter_graph(b_family(16)).values()]
-    assert sorted(degrees) == [1] * 7 + [2] * 2 + [3] * 7
+    assert _degrees(q_family(8)) == [1] + [2] * 6 + [3]
+    assert _degrees(b_family(16)) == [1] * 7 + [2] * 2 + [3] * 7
 
 
-@pytest.mark.parametrize("poly", [regular(7), regular(8)], ids=["7-cycle", "4-diameters"])
+@pytest.mark.parametrize("family,n", [("b", 2 ** s) for s in range(3, 15)]
+                         + [("q", 2 ** s) for s in range(2, 15)])
+def test_stride_order_equals_the_cycle_walk(family, n):
+    poly = build_polygon(family, n)
+    cycle, pendants, apex = diameter_cycle(poly)
+    adj = diameter_graph(poly)
+    assert (cycle.tolist(), apex) == cycle_walk(poly, adj)
+    assert {tuple(e) for e in pendants.tolist()} == {
+        (i, j) for i, nbrs in adj.items() for j in nbrs
+        if i < j and 1 in (len(nbrs), len(adj[j]))}
+
+
+# two unit edges from the origin and a short third side: two pendants, no cycle
+ORIGIN_STAR = SmallPolygon.from_coords([(0, 0), (0.3, math.sqrt(0.91)), (-0.3, math.sqrt(0.91))])
+
+
+@pytest.mark.parametrize("poly", [regular(7), regular(8), ORIGIN_STAR],
+                         ids=["7-cycle", "4-diameters", "origin-star"])
 def test_graph_structure_rejects_graphs_without_an_origin_pendant(poly):
     with pytest.raises(ValueError):
         _graph_structure(poly)

@@ -10,7 +10,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from smallpoly import b_family, bounds, measure, perimeter, polygon_to_json, q_family
+from smallpoly import (
+    SmallPolygon,
+    b_family,
+    bounds,
+    diameter,
+    measure,
+    perimeter,
+    polygon_to_json,
+    q_family,
+)
 from smallpoly.cli import (
     EXIT_CHECK,
     EXIT_OK,
@@ -23,6 +32,7 @@ from smallpoly.cli import (
     render_svg,
     verify_checks,
 )
+from smallpoly.constructions import diameter_cycle
 
 from _reference import pairwise_mirror_distance
 
@@ -420,20 +430,43 @@ def test_measure_rejects_non_coordinates_as_data_error(tmp_path, capsys, vertice
 
 
 coordinate = st.floats(allow_nan=False, allow_infinity=False)
+finite_polygons = st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=12)
+OVERFLOWING = [(0.0, 0.0), (1e308, 0.0), (0.0, 1e308)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(coordinate, coordinate), min_size=3, max_size=12))
-@example([(0.0, 0.0), (1e308, 0.0), (0.0, 1e308)])
-@example([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)])
-def test_measure_exits_0_or_1_without_warnings_on_any_finite_polygon(vertices):
+def _main_on_polygon_file(vertices, *argv):
+    """``main([*argv, path])`` on a polygon JSON file of ``vertices``, warnings as errors."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "polygon.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump({"vertices": vertices}, fh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["measure", path]) in (EXIT_OK, EXIT_CHECK)
+            return main([*argv, path])
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_polygons)
+@example(OVERFLOWING)
+@example([(0.0, 0.0), (1e200, 0.0), (0.0, 1e200)])
+def test_measure_exits_0_or_1_without_warnings_on_any_finite_polygon(vertices):
+    assert _main_on_polygon_file(vertices, "measure") in (EXIT_OK, EXIT_CHECK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_polygons)
+@example(OVERFLOWING)
+def test_render_exits_0_or_1_without_warnings_on_any_finite_polygon(vertices):
+    code = _main_on_polygon_file(vertices, "render", "--out", os.devnull)
+    assert code in (EXIT_OK, EXIT_CHECK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_polygons)
+@example(OVERFLOWING)
+def test_verify_polygon_exits_0_or_1_without_warnings_on_any_finite_polygon(vertices):
+    code = _main_on_polygon_file(vertices, "verify", "--n-max", "4", "--polygon")
+    assert code in (EXIT_OK, EXIT_CHECK)
 
 
 def test_measure_reports_overflowing_metrics_as_one_error_line(tmp_path, capsys):
@@ -443,3 +476,41 @@ def test_measure_reports_overflowing_metrics_as_one_error_line(tmp_path, capsys)
     assert code == EXIT_CHECK
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_render_reports_overflowing_coordinates_as_one_error_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": OVERFLOWING}))
+    svg = tmp_path / "huge.svg"
+    code, out, err = run(capsys, "render", str(path), "--out", str(svg))
+    assert code == EXIT_CHECK
+    assert out == "" and not svg.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_polygon_fails_an_overflowing_file_without_warnings(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vertices": [(-1.7e308, 0.0), (1.7e308, 0.0), (0.0, 1.0)]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", "--n-max", "4", "--polygon", str(path))
+    assert code == EXIT_CHECK and err == "" and not caught
+    assert f"[FAIL] polygon-file[{path}]" in out
+
+
+def test_verify_pendant_lines_flags_a_moved_pendant_end(monkeypatch):
+    import smallpoly.cli as cli
+    poly = b_family(16)
+    cycle, pendants, _ = diameter_cycle(poly)
+    i, j = pendants[0].tolist()
+    hub, free = (i, j) if i in cycle else (j, i)
+    coords = poly.coords()
+    dx, dy = coords[free] - coords[hub]
+    coords[free] += 1e-8 * np.array([-dy, dx])  # across the unit pendant edge
+    moved = SmallPolygon.from_coords(coords, poly.family, poly.params)
+    assert diameter(moved)[1] == diameter(poly)[1]
+    monkeypatch.setattr(cli, "b_family", lambda n: moved if n == 16 else b_family(n))
+    rows = {name: (ok, detail) for name, ok, detail in verify_checks(16)}
+    assert rows["pendant-lines[b n=8]"][0]
+    ok, detail = rows["pendant-lines[b n=16]"]
+    assert not ok and float(detail.split()[-1]) > 1e-9

@@ -9,6 +9,7 @@ from smallpoly import (
     AngleParamB,
     AngleParamQ,
     InfeasibleAnglesError,
+    SmallPolygon,
     b_alternation,
     b_angles,
     b_family,
@@ -30,6 +31,7 @@ from smallpoly import (
 )
 from smallpoly import area, build_b_problem, build_q_problem, closed_form, solve
 
+from smallpoly.cli import _graph_structure
 from smallpoly.constructions import _b_vertices, _q_vertices
 
 from _reference import (
@@ -253,6 +255,26 @@ def test_extracted_angle_round_trip_q(n):
                          - np.array(q_angles(n).alphas))) <= 1e-10
     rebuilt = from_angles_q(extracted)
     assert np.max(np.abs(poly.coords() - rebuilt.coords())) <= 1e-12
+
+
+ROUND_TRIPS = {"b": (extract_angles_b, from_angles_b, AngleParamB, build_b_problem),
+               "q": (extract_angles_q, from_angles_q, AngleParamQ, build_q_problem)}
+
+
+@pytest.mark.parametrize("family,n,solved", [
+    (family, n, solved) for family, sizes in (("b", (8, 64, 512)), ("q", (4, 64, 256)))
+    for n in sizes for solved in (False, True)])
+def test_extraction_ignores_the_vertex_row_order(family, n, solved):
+    extract, rebuild, param, build = ROUND_TRIPS[family]
+    poly = rebuild(param(n, solve(build(n)).angles)) if solved else _build(family, n)
+    angles = np.array(extract(poly).alphas)
+    structure = _graph_structure(poly)
+    for rows in (np.roll(np.arange(n), n // 3), np.random.default_rng(n).permutation(n)):
+        moved = SmallPolygon.from_coords(poly.xy[rows], poly.family, poly.params)
+        extracted = extract(moved)
+        assert np.array(extracted.alphas).tobytes() == angles.tobytes()
+        assert _graph_structure(moved) == structure
+        assert np.max(np.abs(rebuild(extracted).xy - poly.xy)) <= 1e-12
 
 
 def test_from_angles_b_published_optimum():
