@@ -36,7 +36,6 @@ from .geometry import (
     SmallPolygon,
     _json17,
     area,
-    diameter,
     measure,
     perimeter,
     polygon_from_json,
@@ -122,6 +121,50 @@ def build_polygon(family: str, n: int, m: int | None = None) -> SmallPolygon:
 # ---------------------------------------------------------------------------
 
 
+_BOUNDARY_LINE = ('<line class="boundary" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                  'stroke="black" stroke-width="1.5" stroke-dasharray="6 4"/>\n')
+_DIAMETER_LINE = ('<line class="diameter" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+                  'stroke="black" stroke-width="1.5"/>\n')
+
+
+def _fixed2(values: np.ndarray) -> np.ndarray:
+    """``'%.2f' % v`` for each ``v >= 0`` as the rows of a uint8 array, right
+    aligned and padded on the left with zero bytes.
+
+    ``rint(fl(100 v))`` is the correctly rounded 100 v, as ``'%.2f'`` rounds,
+    unless fl(100 v) lies within an ulp of a half-integer or beyond the int64
+    range; those values are formatted one by one.
+    """
+    scaled = np.minimum(values, 2.0 ** 56) * 100  # capped below overflow, and slow
+    cents = np.rint(scaled)
+    slow = (np.abs(np.abs(scaled - cents) - 0.5) <= np.spacing(scaled)) | (scaled >= 2.0 ** 62)
+    texts = ["%.2f" % v for v in values[slow].tolist()]
+    rest = np.where(slow, 0, cents).astype(np.int64)
+    digits = max(3, len(str(rest.max(initial=0))))
+    width = max([digits + 1] + [len(t) for t in texts])
+    out = np.zeros((len(values), width), np.uint8)
+    out[:, -3] = ord(".")
+    for k in range(digits):  # the k-th digit from the right; zeros above the units are padding
+        rest, digit = np.divmod(rest, 10)
+        lead = (k >= 3) & (rest == 0) & (digit == 0)
+        out[:, width - 1 - k - (k >= 2)] = np.where(lead, 0, digit + ord("0"))
+    for row, text in zip(np.flatnonzero(slow).tolist(), texts):
+        out[row, width - len(text):] = np.frombuffer(text.encode(), np.uint8)
+    return out
+
+
+def _svg_lines(template: str, fields: np.ndarray, ends: np.ndarray) -> str:
+    """``template % (x_i, y_i, x_j, y_j)`` for each row (i, j) of ``ends``, with
+    the ``'%.2f'`` fields of vertex k in ``fields[k]`` (see :func:`_fixed2`)."""
+    rows = fields[ends].reshape(len(ends), 4, -1)
+    pieces = [np.frombuffer(t.encode(), np.uint8) for t in template.split("%.2f")]
+    parts = [np.broadcast_to(pieces[0], (len(ends), len(pieces[0])))]
+    for k, piece in enumerate(pieces[1:]):
+        parts += [rows[:, k], np.broadcast_to(piece, (len(ends), len(piece)))]
+    text = np.concatenate(parts, axis=1)
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def render_svg(p: SmallPolygon) -> str:
     """SVG figure: dashed boundary edges, solid diameter-graph edges.
 
@@ -132,38 +175,23 @@ def render_svg(p: SmallPolygon) -> str:
     try:
         # every pixel coordinate is at most w or h, so only these can overflow
         with np.errstate(over="raise"):
-            _, edges = diameter(p)
+            edges = p._diameter[1]
             xmin, ymin = coords.min(axis=0) - pad
             xmax, ymax = coords.max(axis=0) + pad
             w = (xmax - xmin) * SVG_SCALE
             h = (ymax - ymin) * SVG_SCALE
     except (FloatingPointError, OverflowError) as exc:
         raise InvalidPolygonError(f"SVG coordinates overflow binary64 ({exc})") from exc
-
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        return (x - xmin) * SVG_SCALE, (ymax - y) * SVG_SCALE
-
-    lines = [
+    # pixel coordinates are >= 0: xmin and ymax bound the vertices
+    px = np.stack(((coords[:, 0] - xmin) * SVG_SCALE, (ymax - coords[:, 1]) * SVG_SCALE), axis=1)
+    fields = _fixed2(px.ravel()).reshape(p.n, 2, -1)
+    ring = np.arange(p.n)
+    return "".join((
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
-        f'viewBox="0 0 {w:.2f} {h:.2f}">'
-    ]
-    n = p.n
-    for i in range(n):
-        x1, y1 = to_px(coords[i, 0], coords[i, 1])
-        x2, y2 = to_px(coords[(i + 1) % n, 0], coords[(i + 1) % n, 1])
-        lines.append(
-            f'<line class="boundary" x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
-            f'y2="{y2:.2f}" stroke="black" stroke-width="1.5" stroke-dasharray="6 4"/>'
-        )
-    for i, j in edges:
-        x1, y1 = to_px(coords[i, 0], coords[i, 1])
-        x2, y2 = to_px(coords[j, 0], coords[j, 1])
-        lines.append(
-            f'<line class="diameter" x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
-            f'y2="{y2:.2f}" stroke="black" stroke-width="1.5"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'viewBox="0 0 {w:.2f} {h:.2f}">\n',
+        _svg_lines(_BOUNDARY_LINE, fields, np.stack((ring, (ring + 1) % p.n), axis=1)),
+        _svg_lines(_DIAMETER_LINE, fields, edges),
+        "</svg>\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +431,7 @@ def _gap_ok(law: str, limit: float) -> tuple[bool, str]:
 def _scaling_ok(p: SmallPolygon) -> tuple[bool, str]:
     scaled = to_unit_perimeter(p)
     wr = width(scaled) / width(p)
-    dr = diameter(scaled)[0] / diameter(p)[0]
+    dr = scaled._diameter[0] / p._diameter[0]
     ok = (abs(perimeter(scaled) - 1.0) <= 1e-12
           and abs(wr / dr - 1.0) <= 1e-12)
     return ok, f"width ratio {wr!r} vs diameter ratio {dr!r}"

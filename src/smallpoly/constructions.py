@@ -36,7 +36,6 @@ from .bounds import b_alternation, is_power_of_two, q_alternation
 from .geometry import (
     Family,
     SmallPolygon,
-    diameter,
     small_polygon_violations,
     validate_small_polygon,
 )
@@ -356,7 +355,7 @@ def _from_angles(param: _AngleParam, vertices, variant: str) -> SmallPolygon:
                     if not v.startswith("diameter")]
         if problems:
             raise InfeasibleAnglesError("; ".join(problems))
-        if diameter(poly)[0] > 1.0 + 8 * ROUNDED_TOL:
+        if poly._diameter[0] > 1.0 + 8 * ROUNDED_TOL:
             raise InfeasibleAnglesError("diameter drifted too far from one")
     return poly
 
@@ -416,7 +415,7 @@ def diameter_cycle(p: SmallPolygon) -> tuple[np.ndarray, np.ndarray, int]:
     cycle through the origin vertex plus pendants, exactly one at the origin.
     """
     xy, n = p.xy, p.n
-    edges = np.array(diameter(p)[1], dtype=np.intp).reshape(-1, 2)
+    edges = p._diameter[1]
     degree = np.bincount(edges.ravel(), minlength=n)
     origin = int(np.argmin(np.hypot(xy[:, 0], xy[:, 1])))
     if math.hypot(*xy[origin]) > 1e-9:

@@ -7,8 +7,8 @@ None of it knows about closed forms, so it can serve as an independent
 cross-check for the analytic expressions in :mod:`smallpoly.bounds`.
 
 All operations are pure functions of immutable values and are safe to call
-concurrently; the convexity test and the diameter sweep a polygon caches are
-deterministic, so a race can at most compute one twice.
+concurrently; the convexity test, the antipodes and the diameter sweep a
+polygon caches are deterministic, so a race can at most compute one twice.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ class SmallPolygon:
     invariants (strict convexity, diameter one, first vertex at the origin)
     are guaranteed by the constructors in :mod:`smallpoly.constructions` and
     can be re-checked with :func:`small_polygon_violations`.  The convexity
-    test and the diameter sweep run at most once per polygon and are cached
-    on it.
+    test, the antipode search of a convex polygon and the diameter sweep run
+    at most once per polygon and are cached on it; :func:`width` and the
+    sweep share the antipodes.
     """
 
     xy: np.ndarray
@@ -125,10 +126,17 @@ class SmallPolygon:
         return _is_convex(self.xy)
 
     @cached_property
-    def _diameter(self) -> tuple[float, tuple[tuple[int, int], ...]]:
-        # a strictly convex CCW polygon is its own hull
-        hull = np.arange(self.n) if self._convex else _hull(self.xy)
-        return _sweep(self.xy, hull)
+    def _far(self) -> np.ndarray:
+        # each edge's antipodal vertex; meaningful for convex polygons only
+        return _antipodes(self.xy)
+
+    @cached_property
+    def _diameter(self) -> tuple[float, np.ndarray]:
+        """``(d, edges)`` with ``edges`` a read-only (E, 2) intp array."""
+        if self._convex:  # a strictly convex CCW polygon is its own hull
+            return _sweep(self.xy, np.arange(self.n), self._far)
+        hull = _hull(self.xy)
+        return _sweep(self.xy, hull, _antipodes(self.xy[hull]))
 
     @classmethod
     def from_coords(
@@ -164,8 +172,13 @@ class MetricsReport:
         }
 
 
+def _shift(a: np.ndarray, k: int) -> np.ndarray:
+    """Rows ``a[(i + k) % n]``: ``np.roll(a, -k, axis=0)`` by slicing."""
+    return np.concatenate((a[k:], a[:k]))
+
+
 def _edge_vectors(coords: np.ndarray) -> np.ndarray:
-    return np.roll(coords, -1, axis=0) - coords
+    return _shift(coords, 1) - coords
 
 
 def perimeter(p: SmallPolygon) -> float:
@@ -192,11 +205,11 @@ def _scaled(coords: np.ndarray) -> np.ndarray:
 
 def _is_convex(coords: np.ndarray) -> bool:
     e = _edge_vectors(_scaled(coords))
-    nxt = np.roll(e, -1, axis=0)
+    nxt = _shift(e, 1)
     cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
     lengths = np.hypot(e[:, 0], e[:, 1])
     turns = np.arctan2(cross, e[:, 0] * nxt[:, 0] + e[:, 1] * nxt[:, 1])
-    return bool(np.all(cross > CONVEXITY_TOL * lengths * np.roll(lengths, -1))
+    return bool(np.all(cross > CONVEXITY_TOL * lengths * _shift(lengths, 1))
                 and np.sum(turns) < 3 * math.pi)  # the turns add up to 2 pi per winding
 
 
@@ -222,7 +235,7 @@ def width(p: SmallPolygon) -> float:
         raise NonConvexError("width is only defined here for convex CCW polygons")
     coords = p.xy
     e = _edge_vectors(coords)
-    far = (_antipodes(coords)[:, None] + np.arange(-1, 2)) % len(coords)
+    far = (p._far[:, None] + np.arange(-1, 2)) % len(coords)
     # distance of the antipodal vertex and its two neighbours from each edge's line
     d = coords[far] - coords[:, None, :]
     cross = e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0]
@@ -254,34 +267,41 @@ def diameter(p: SmallPolygon) -> tuple[float, tuple[tuple[int, int], ...]]:
     distance is within ``DIAMETER_TOL`` of ``d`` -- the diameter-graph edge
     set of the polygon.  Only antipodal pairs of the convex hull's vertices
     are measured, which holds every diameter of any vertex set.  The sweep
-    runs once per polygon; later calls return the cached result.
+    runs once per polygon and caches the edges as an int array; each call
+    builds the tuples from it.
     """
-    return p._diameter
+    d, edges = p._diameter
+    return d, tuple(zip(*edges.T.tolist()))
 
 
-def _sweep(coords: np.ndarray, hull: np.ndarray) -> tuple[float, tuple[tuple[int, int], ...]]:
-    """:func:`diameter` of ``coords`` given its CCW hull vertex indices."""
+def _sweep(coords: np.ndarray, hull: np.ndarray, far: np.ndarray) -> tuple[float, np.ndarray]:
+    """The diameter of ``coords`` and its edges as a read-only (E, 2) intp
+    array, given the CCW hull vertex indices and their ``_antipodes``."""
     n, m = len(coords), len(hull)
-    far = _antipodes(coords[hull])
+    prev = _shift(far, -1)
     # hull vertex k is antipodal to hull vertices far[k-1] .. far[k];
     # one more on each side absorbs rounding in far
-    counts = (far - np.roll(far, 1)) % m + 3
+    counts = (far - prev) % m + 3
     k = np.repeat(np.arange(m), counts)
     step = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
-    i, j = hull[k], hull[(np.roll(far, 1)[k] - 1 + step) % m]
+    i, j = hull[k], hull[(prev[k] - 1 + step) % m]
     dist = np.hypot(coords[j, 0] - coords[i, 0], coords[j, 1] - coords[i, 1])
     dmax = float(np.max(dist))
-    # each pair as lo * n + hi, so that one sort orders and dedupes them
-    keys = np.unique((np.minimum(i, j) * n + np.maximum(i, j))[dist >= dmax - DIAMETER_TOL])
-    lo, hi = np.divmod(keys, n)
-    loop = lo == hi
-    return dmax, tuple(zip(lo[~loop].tolist(), hi[~loop].tolist()))
+    # each pair as lo * n + hi, so that one sort orders the pairs and a
+    # neighbour comparison drops the repeats
+    on = (dist >= dmax - DIAMETER_TOL) & (i != j)
+    i, j = i[on], j[on]
+    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    edges.flags.writeable = False
+    return dmax, edges
 
 
 def area(p: SmallPolygon) -> float:
     """Shoelace area; positive for simple CCW polygons."""
-    x, y = p.xy[:, 0], p.xy[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    x, y = p.xy.T
+    xn, yn = _shift(p.xy, 1).T
     return 0.5 * math.fsum((x * yn - xn * y).tolist())
 
 
@@ -329,7 +349,7 @@ def small_polygon_violations(p: SmallPolygon) -> list[str]:
     problems = []
     if not is_convex(p):
         problems.append("not strictly convex in CCW order")
-    d, _ = diameter(p)
+    d = p._diameter[0]
     if d > 1.0 + DIAMETER_TOL:
         problems.append(f"diameter {d!r} exceeds 1 + {DIAMETER_TOL}")
     x0, y0 = p.xy[0].tolist()
@@ -374,7 +394,7 @@ def _json17(obj) -> str:
 
 def polygon_to_json(p: SmallPolygon) -> str:
     """Serialize a polygon to its JSON interchange form."""
-    vertices = ", ".join(f"[{x:.17g}, {y:.17g}]" for x, y in p.xy.tolist())
+    vertices = ", ".join(["[%.17g, %.17g]"] * p.n) % tuple(p.xy.ravel().tolist())
     return (f'{{"n": {p.n}, "family": {_json17(p.family.value)}, '
             f'"params": {_json17(p.params)}, "vertices": [{vertices}]}}')
 

@@ -26,13 +26,19 @@ per-vertex oracles for the regular polygon and the subdivided Reuleaux arcs.
 ``diameter_graph`` (adjacency lists) and ``cycle_walk`` (one vertex at a
 time along them) are the oracle for the stride order of
 ``smallpoly.constructions.diameter_cycle``.
+
+``row_polygon_to_json`` formats the vertices one row at a time and
+``loop_render_svg`` one line per edge with a per-point pixel map: the
+oracles, byte for byte, for the single-pass ``polygon_to_json`` and the
+array formatting of ``smallpoly.cli.render_svg``.
 """
 
 import math
 
 import numpy as np
 
-from smallpoly.geometry import DIAMETER_TOL, diameter
+from smallpoly.cli import SVG_SCALE
+from smallpoly.geometry import DIAMETER_TOL, _json17, diameter
 
 _CHUNK = 256  # row block for pairwise-distance / support-distance sweeps
 
@@ -377,3 +383,46 @@ def loop_reuleaux(corners, subarcs):
         verts.extend((cx + math.cos(a0 + j * step), cy + math.sin(a0 + j * step))
                      for j in range(1, count))
     return verts
+
+
+def row_polygon_to_json(p):
+    """The JSON interchange form, one f-string per vertex row."""
+    vertices = ", ".join(f"[{x:.17g}, {y:.17g}]" for x, y in p.xy.tolist())
+    return (f'{{"n": {p.n}, "family": {_json17(p.family.value)}, '
+            f'"params": {_json17(p.params)}, "vertices": [{vertices}]}}')
+
+
+def loop_render_svg(p):
+    """The SVG of ``render_svg``, one formatted line per boundary and diameter edge."""
+    coords = p.xy
+    pad = 0.05
+    _, edges = diameter(p)
+    xmin, ymin = coords.min(axis=0) - pad
+    xmax, ymax = coords.max(axis=0) + pad
+    w = (xmax - xmin) * SVG_SCALE
+    h = (ymax - ymin) * SVG_SCALE
+
+    def to_px(x, y):
+        return (x - xmin) * SVG_SCALE, (ymax - y) * SVG_SCALE
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
+        f'viewBox="0 0 {w:.2f} {h:.2f}">'
+    ]
+    n = p.n
+    for i in range(n):
+        x1, y1 = to_px(coords[i, 0], coords[i, 1])
+        x2, y2 = to_px(coords[(i + 1) % n, 0], coords[(i + 1) % n, 1])
+        lines.append(
+            f'<line class="boundary" x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+            f'y2="{y2:.2f}" stroke="black" stroke-width="1.5" stroke-dasharray="6 4"/>'
+        )
+    for i, j in edges:
+        x1, y1 = to_px(coords[i, 0], coords[i, 1])
+        x2, y2 = to_px(coords[j, 0], coords[j, 1])
+        lines.append(
+            f'<line class="diameter" x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+            f'y2="{y2:.2f}" stroke="black" stroke-width="1.5"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

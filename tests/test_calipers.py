@@ -23,7 +23,7 @@ from smallpoly import (
 )
 from smallpoly.cli import _graph_structure, build_polygon
 from smallpoly.constructions import diameter_cycle
-from smallpoly.geometry import _hull, _sweep
+from smallpoly.geometry import _antipodes, _hull, _sweep
 
 from _reference import cycle_walk, diameter_graph, pairwise_diameter, pairwise_width
 
@@ -141,7 +141,9 @@ def test_graph_structure_rejects_graphs_without_an_origin_pendant(poly):
 
 def _chain_sweep(poly):
     """The diameter through Andrew's monotone chain, as for non-convex input."""
-    return _sweep(poly.xy, _hull(poly.xy))
+    hull = _hull(poly.xy)
+    d, edges = _sweep(poly.xy, hull, _antipodes(poly.xy[hull]))
+    return d, tuple(map(tuple, edges.tolist()))
 
 
 @pytest.mark.parametrize("family,n,m", FAMILY_CASES)
@@ -163,3 +165,21 @@ def test_convex_fast_path_matches_monotone_chain_on_families(family, n, m, monke
 def test_convex_fast_path_matches_monotone_chain_on_convex_polygons(poly):
     assert is_convex(poly)
     assert diameter(poly) == _chain_sweep(poly)
+
+
+@pytest.mark.parametrize("family,n,m", FAMILY_CASES)
+def test_cached_edge_array_is_read_only(family, n, m):
+    edges = build_polygon(family, n, m)._diameter[1]
+    assert edges.dtype == np.intp and edges.ndim == 2 and edges.shape[1] == 2
+    assert not edges.flags.writeable
+    with pytest.raises(ValueError):
+        edges[0, 0] = 0
+
+
+@pytest.mark.parametrize("family,n,m", FAMILY_CASES)
+def test_diameter_edges_are_the_tuples_of_the_cached_rows(family, n, m):
+    poly = build_polygon(family, n, m)
+    d, edges = diameter(poly)
+    assert d == poly._diameter[0]
+    assert edges == tuple(map(tuple, poly._diameter[1].tolist()))
+    assert all(type(v) is int for edge in edges for v in edge)

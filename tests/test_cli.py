@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smallpoly import (
+    InvalidPolygonError,
     SmallPolygon,
     b_family,
     bounds,
@@ -26,15 +27,17 @@ from smallpoly.cli import (
     EXIT_USAGE,
     TableSpec,
     UsageError,
+    _fixed2,
     _mirror_distance,
     _orderings_ok,
+    build_polygon,
     main,
     render_svg,
     verify_checks,
 )
 from smallpoly.constructions import diameter_cycle
 
-from _reference import pairwise_mirror_distance
+from _reference import loop_render_svg, pairwise_mirror_distance
 
 
 def run(capsys, *argv):
@@ -342,15 +345,29 @@ def test_verify_checks_sweep_each_polygon_once(monkeypatch):
     swept = []  # the coordinate arrays swept; kept alive so their ids stay unique
     sweep = geometry._sweep
 
-    def counted(coords, hull):
+    def counted(coords, hull, far):
         swept.append(coords)
-        return sweep(coords, hull)
+        return sweep(coords, hull, far)
 
     monkeypatch.setattr(geometry, "_sweep", counted)
     results = verify_checks(64)
     assert all(ok for _, ok, _ in results)
     assert swept
     assert len({id(coords) for coords in swept}) == len(swept)
+
+
+def test_verify_checks_search_antipodes_once_per_polygon(monkeypatch):
+    from smallpoly import geometry
+    searched = []  # kept alive so that their ids stay unique
+    antipodes = geometry._antipodes
+
+    def counted(coords):
+        searched.append(coords)
+        return antipodes(coords)
+
+    monkeypatch.setattr(geometry, "_antipodes", counted)
+    verify_checks(1024)
+    assert len({id(coords) for coords in searched}) == len(searched) == 127
 
 
 @pytest.mark.parametrize("build,n_min", [(b_family, 8), (q_family, 4)], ids=["b", "q"])
@@ -459,6 +476,36 @@ def test_measure_exits_0_or_1_without_warnings_on_any_finite_polygon(vertices):
 def test_render_exits_0_or_1_without_warnings_on_any_finite_polygon(vertices):
     code = _main_on_polygon_file(vertices, "render", "--out", os.devnull)
     assert code in (EXIT_OK, EXIT_CHECK)
+
+
+@pytest.mark.parametrize("family,n", [("b", 16), ("q", 4), ("regular", 4), ("b", 1024),
+                                      ("q", 512), ("tamvakis", 64), ("reuleaux", 21)])
+def test_render_svg_matches_the_per_edge_loop(family, n):
+    poly = build_polygon(family, n, 3 if family == "reuleaux" else None)
+    assert render_svg(poly) == loop_render_svg(poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_polygons)
+@example([(0.0, 0.0), (1e304, 0.0), (0.0, 1e304)])
+@example([(0.0, 0.0), (0.125, 0.0), (0.0, 2.675)])
+def test_render_svg_matches_the_per_edge_loop_on_any_finite_polygon(vertices):
+    poly = SmallPolygon.from_coords(vertices)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            svg = render_svg(poly)
+        except InvalidPolygonError:
+            return
+    assert svg == loop_render_svg(poly)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=1, max_size=20))
+@example([0.0, 5e-324, 0.005, 0.015, 0.125, 1.005, 2.675, 99.995, 2.0 ** 56, 1.7e308])
+def test_fixed2_formats_as_percent_2f(values):
+    out = _fixed2(np.array(values))
+    assert [row[row != 0].tobytes().decode() for row in out] == ["%.2f" % v for v in values]
 
 
 @settings(max_examples=300, deadline=None)

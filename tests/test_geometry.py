@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smallpoly import (
     Family,
@@ -26,6 +28,9 @@ from smallpoly import (
     to_unit_perimeter,
     width,
 )
+from smallpoly.cli import build_polygon
+
+from _reference import row_polygon_to_json
 
 SQRT2 = math.sqrt(2.0)
 
@@ -249,3 +254,24 @@ def test_json_rejects_every_non_coordinate(vertices):
 def test_json_accepts_integer_coordinates():
     poly = polygon_from_json('{"vertices": [[0, 0], [1, 0], [0, 1]]}')
     assert poly.xy.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("family,n,m", [
+    ("b", 16, None), ("b", 4096, None), ("q", 4, None), ("q", 1024, None),
+    ("regular", 7, None), ("regular-plus", 64, None), ("tamvakis", 128, None),
+    ("reuleaux", 40, 5)])
+def test_json_write_matches_the_per_row_formatter(family, n, m):
+    poly = build_polygon(family, n, m)
+    assert polygon_to_json(poly) == row_polygon_to_json(poly)
+
+
+json_float = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(json_float, json_float), min_size=3, max_size=12))
+@example([(-0.0, 5e-324), (1e308, -1e308), (-5e-324, 0.0)])
+def test_json_write_matches_the_per_row_formatter_on_any_finite_floats(vertices):
+    poly = SmallPolygon.from_coords(vertices, params={"x": vertices[0][0]})
+    assert polygon_to_json(poly) == row_polygon_to_json(poly)
