@@ -262,10 +262,15 @@ def table_csv(spec: TableSpec, digits: int | None = None,
         for n in spec.n_values:
             dec10 = digits if digits is not None else 10
             dec = _row_decimals(n, digits)
-            lq = solve(build_q_problem(n), config).objective
             lb, _ = bounds.closed_form("b", n)
-            lbo = solve(build_b_problem(n), config).objective
             ub = bounds.upper_bounds(n).ubL
+            if not ub - lb > 0.0:
+                gap = bounds.gap_constants("b-perimeter", n) / n ** 6
+                raise CertificationError(
+                    f"T4 ratio at n={n} is not computable in binary64: "
+                    f"ub_L - L_b = {gap:.3g} rounds to {ub - lb!r}")
+            lq = solve(build_q_problem(n), config).objective
+            lbo = solve(build_b_problem(n), config).objective
             ratio = (lbo - lb) / (ub - lb)
             out.append(",".join([str(n), _fmt(lq, dec10), _fmt(lb, dec),
                                  _fmt(lbo, dec), _fmt(ub, dec), _fmt(ratio, 4)]))

@@ -62,7 +62,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """A solve report failed geometric revalidation."""
+    """A report failed revalidation, or a result has no binary64 value."""
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ class NlpProblem:
     """One of the two perimeter maximization problems.
 
     The callables operate on deviation vectors d = angles - base_angle and
-    return value/gradient (and Hessian from the *_hessian companions).
-    ``lower``/``upper``/``warm_start`` are stored in angle space.
+    return value/gradient (and Hessian from the *_hessian companions).  The
+    solver never reads the zero Hessian of the linear angle sum.  Angles are
+    bounded below by 0; ``upper``/``warm_start`` are stored in angle space.
     """
 
     family: str                   # "b" or "q"
@@ -82,7 +83,6 @@ class NlpProblem:
     objective_hessian: Callable[[np.ndarray], np.ndarray]
     eq_constraints: tuple[Callable[[np.ndarray], tuple[float, np.ndarray]], ...]
     eq_hessians: tuple[Callable[[np.ndarray], np.ndarray], ...]
-    lower: np.ndarray
     upper: np.ndarray
     warm_start: np.ndarray        # angle sequence
 
@@ -156,19 +156,16 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def _suffix_sums(terms: np.ndarray) -> np.ndarray:
+def _suffix_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """S[r] = 0.0 + terms[r] + terms[r+1] + ..., for r = 0..len(terms).
 
-    Each sum adds its terms in ascending order, as a loop that accumulates
-    one term at a time into every entry it touches would, so the result is
+    With ``mask`` the strict upper triangle of a square of side len(terms)+1,
+    row r holds zeros, then terms[r:]; its sequential cumulative sum adds
+    them in ascending order, as a per-term loop would, so the result is
     bitwise equal to such a loop (a reversed cumulative sum rounds
-    differently).  Row r of a triangle holds zeros, then terms[r:]; a
-    sequential cumulative sum along the rows costs O(len(terms)^2).  The last
-    entry, an empty sum, is 0.0.
+    differently).  The last entry, an empty sum, is 0.0.
     """
-    k = len(terms)
-    rows = np.zeros((k + 1, k + 1))
-    rows[:k, 1:] = np.triu(np.broadcast_to(terms, (k, k)))
+    rows = np.where(mask, np.concatenate(([0.0], terms)), 0.0)
     return np.cumsum(rows, axis=1)[:, -1]
 
 
@@ -186,7 +183,7 @@ def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
     assembled from deviations.  Each phase moves with slope w_j in d_j for
     j <= r, so the closure gradient is w * S and its Hessian
     w_i w_j T[max(i, j)], with S and T the suffix sums of the signed cosine
-    and negated sine terms.
+    and negated sine terms; their mask, w_i w_j and max(i, j) are built once.
     """
     n, dim = warm.n, len(warm.alphas)
     base = math.pi / n
@@ -195,6 +192,9 @@ def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
     const = warm._CLOSURE
     index = np.arange(dim)
     signs = (-1.0) ** index[:-1]
+    mask = np.triu(np.ones((dim, dim), dtype=bool), 1)
+    weight_products = np.outer(weights, weights)
+    gather = np.maximum.outer(index, index)
 
     def objective(d: np.ndarray) -> tuple[float, np.ndarray]:
         a = base + d
@@ -215,19 +215,19 @@ def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
         phi = phases(d)
         val = math.fsum([const] + (signs * np.sin(phi)).tolist())
-        return val, weights * _suffix_sums(signs * np.cos(phi))
+        return val, weights * _suffix_sums(signs * np.cos(phi), mask)
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
         # H = -sum_r (-1)^r sin(phi_r) v_r v_r^T with v_r = w at 0..r, 0 after
-        T = _suffix_sums(-signs * np.sin(phases(d)))
-        return np.outer(weights, weights) * T[np.maximum.outer(index, index)]
+        T = _suffix_sums(-signs * np.sin(phases(d)), mask)
+        return weight_products * T[gather]
 
     return NlpProblem(
         family=family, n=n, dim=dim, base_angle=base,
         objective=objective, objective_hessian=objective_hessian,
         eq_constraints=(angle_sum, closure),
         eq_hessians=(angle_sum_hessian, closure_hessian),
-        lower=np.zeros(dim), upper=warm.upper(n), warm_start=np.array(warm.alphas),
+        upper=warm.upper(n), warm_start=np.array(warm.alphas),
     )
 
 
@@ -267,15 +267,6 @@ def _eval_constraints(problem: NlpProblem, d: np.ndarray):
     return np.array(vals), np.vstack(grads)
 
 
-def _constraint_hess_combo(problem: NlpProblem, d: np.ndarray,
-                           mults: np.ndarray) -> np.ndarray:
-    H = np.zeros((problem.dim, problem.dim))
-    for mult, hess in zip(mults, problem.eq_hessians):
-        if mult != 0.0:
-            H += mult * hess(d)
-    return H
-
-
 def _evaluate(problem: NlpProblem, d: np.ndarray):
     f, gf = problem.objective(d)
     c, J = _eval_constraints(problem, d)
@@ -289,11 +280,14 @@ def _newton_kkt(problem, d, lo, hi, max_iter):
     the full KKT matrix, is capped at 0.05 per coordinate to stay local, and
     is clipped to the box.  Keeps the best iterate by KKT merit in case a
     step overshoots.  Each iterate is evaluated once; returns the best
-    iterate, the iteration count and the best iterate's evaluation.
+    iterate, the iteration count and the best iterate's evaluation.  Each
+    iteration refills the blocks of one KKT matrix [[W, -J^T], [J, 0]].
     """
+    dim = problem.dim
     ev = _evaluate(problem, d)
-    _, gf, _, J = ev
+    _, gf, c, J = ev
     lam = np.linalg.lstsq(J.T, -gf, rcond=None)[0]
+    kkt = np.zeros((dim + len(c), dim + len(c)))
     iters = 0
     norm = math.inf
     best = (math.inf, d, ev)
@@ -305,20 +299,22 @@ def _newton_kkt(problem, d, lo, hi, max_iter):
             best = (merit, d, ev)
         if merit <= 1e-14 or iters == max_iter or norm < STEP_TOL:
             break
-        W = -problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
-        k = len(c)
-        kkt = np.block([[W, -J.T], [J, np.zeros((k, k))]])
+        # W = -objective_hessian - lam[1] closure_hessian (the angle sum is linear)
+        W = np.negative(problem.objective_hessian(d), out=kkt[:dim, :dim])
+        W -= lam[1] * problem.eq_hessians[1](d)
+        np.negative(J.T, out=kkt[:dim, dim:])
+        kkt[dim:, :dim] = J
         rhs = np.concatenate((-r_stat, -c))
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        step = sol[: problem.dim]
+        step = sol[:dim]
         norm = float(np.max(np.abs(step)))
         if norm > 0.05:
             step = step * (0.05 / norm)
         d = np.clip(d + step, lo, hi)
-        lam = lam + sol[problem.dim:]
+        lam = lam + sol[dim:]
         iters += 1
         ev = _evaluate(problem, d)
     return best[1], iters, best[2]
@@ -328,11 +324,11 @@ def _final_report_parts(problem, d, lo, hi, ev):
     """Refit multipliers by least squares; measure residuals and curvature.
 
     ``ev`` is ``_evaluate(problem, d)``.  Returns the objective, both
-    equality residuals, the box-aware stationarity norm, and the largest
-    eigenvalue of the reduced Hessian Z^T W Z (-inf when the null space is
-    empty).  W is the Hessian of the maximization Lagrangian f - lam.c and Z
-    spans the null space of the equality Jacobian together with the rows of
-    the active box bounds.
+    equality residuals, the box-aware stationarity norm, and whether the
+    reduced Hessian Z^T W Z is negative definite (true when the null space
+    is empty), that is, whether -Z^T W Z has a Cholesky factor.  W is the
+    Hessian of the maximization Lagrangian f - lam.c and Z, from an SVD,
+    spans the null space of the equality Jacobian and the active box rows.
     """
     f, gf, c, J = ev
     lam, *_ = np.linalg.lstsq(J.T, gf, rcond=None)
@@ -350,12 +346,14 @@ def _final_report_parts(problem, d, lo, hi, ev):
     _, sv, Vt = np.linalg.svd(A)
     rank = int(np.sum(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
     Z = Vt[rank:].T
-    curvature = -math.inf
+    negative_definite = True
     if Z.shape[1]:
-        W = problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
-        reduced = Z.T @ W @ Z
-        curvature = float(np.max(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
-    return f, (float(c[0]), float(c[1])), kkt, curvature
+        W = problem.objective_hessian(d) - lam[1] * problem.eq_hessians[1](d)
+        try:
+            np.linalg.cholesky(-(Z.T @ W @ Z))
+        except np.linalg.LinAlgError:
+            negative_definite = False
+    return f, (float(c[0]), float(c[1])), kkt, negative_definite
 
 
 def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -372,7 +370,7 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
     survives.
     """
     cfg = config or SolverConfig()
-    lo = problem.lower - problem.base_angle
+    lo = -problem.base_angle
     hi = problem.upper - problem.base_angle
     warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
     warm_obj, _ = problem.objective(warm_dev)
@@ -386,9 +384,9 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
             mag = PERTURBATIONS[((s - 1) // problem.dim) % len(PERTURBATIONS)]
             d0[j] += mag if j % 2 == 0 else -mag
         d, iters, ev = _newton_kkt(problem, np.clip(d0, lo, hi), lo, hi, cfg.max_outer)
-        obj, eq_res, kkt, curvature = _final_report_parts(problem, d, lo, hi, ev)
+        obj, eq_res, kkt, definite = _final_report_parts(problem, d, lo, hi, ev)
         converged = (max(abs(eq_res[0]), abs(eq_res[1])) <= cfg.tol_eq
-                     and kkt <= cfg.tol_kkt and curvature < 0.0)
+                     and kkt <= cfg.tol_kkt and definite)
         report = SolveReport(
             family=problem.family, n=problem.n,
             angles=tuple(float(a) for a in problem.base_angle + d),

@@ -31,14 +31,30 @@ time along them) are the oracle for the stride order of
 ``loop_render_svg`` one line per edge with a per-point pixel map: the
 oracles, byte for byte, for the single-pass ``polygon_to_json`` and the
 array formatting of ``smallpoly.cli.render_svg``.
+
+``block_kkt_solve`` is the Newton-KKT solve with its arrays built on every
+call: closure derivatives from a fresh triangle of suffix sums, a zero
+angle-sum Hessian added into the Lagrangian Hessian, the KKT matrix
+assembled by ``np.block`` on every iteration, and ``eigvalsh_report_parts``,
+which certifies a maximum by the largest ``eigvalsh`` eigenvalue of the
+reduced Hessian.  It is the oracle, report for report, for
+``smallpoly.optimizer.solve`` and its Cholesky certificate.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from smallpoly.cli import SVG_SCALE
 from smallpoly.geometry import DIAMETER_TOL, _json17, diameter
+from smallpoly.optimizer import (
+    PERTURBATIONS,
+    STEP_TOL,
+    SolverConfig,
+    SolveReport,
+    _evaluate,
+)
 
 _CHUNK = 256  # row block for pairwise-distance / support-distance sweeps
 
@@ -426,3 +442,146 @@ def loop_render_svg(p):
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def triangle_suffix_sums(terms):
+    """S[r] = 0.0 + terms[r] + ..., from a triangle built afresh on every call."""
+    k = len(terms)
+    rows = np.zeros((k + 1, k + 1))
+    rows[:k, 1:] = np.triu(np.broadcast_to(terms, (k, k)))
+    return np.cumsum(rows, axis=1)[:, -1]
+
+
+def _triangle_problem(problem):
+    """``problem`` with closure derivatives from triangle suffix sums and a
+    zero angle-sum Hessian callable, the former problem builder's callables."""
+    dim, base = problem.dim, problem.base_angle
+    angle_sum, closure = problem.eq_constraints
+    weights = angle_sum(np.zeros(dim))[1]
+    index = np.arange(dim)
+    signs = (-1.0) ** index[:-1]
+    if problem.family == "b":
+        odd = (2.0 * np.arange(1, dim) - 1.0) * base
+
+        def phases(d):
+            return odd + (d[0] + 2.0 * np.concatenate(([0.0], np.cumsum(d[1:dim - 1]))))
+    else:
+        steps = np.arange(1, dim) * base
+
+        def phases(d):
+            return steps + np.cumsum(d)[:-1]
+
+    def triangle_closure(d):
+        return closure(d)[0], weights * triangle_suffix_sums(signs * np.cos(phases(d)))
+
+    def triangle_closure_hessian(d):
+        T = triangle_suffix_sums(-signs * np.sin(phases(d)))
+        return np.outer(weights, weights) * T[np.maximum.outer(index, index)]
+
+    def angle_sum_hessian(d):
+        return np.zeros((dim, dim))
+
+    return dataclasses.replace(
+        problem, eq_constraints=(angle_sum, triangle_closure),
+        eq_hessians=(angle_sum_hessian, triangle_closure_hessian))
+
+
+def _constraint_hess_combo(problem, d, mults):
+    H = np.zeros((problem.dim, problem.dim))
+    for mult, hess in zip(mults, problem.eq_hessians):
+        if mult != 0.0:
+            H += mult * hess(d)
+    return H
+
+
+def _block_newton_kkt(problem, d, lo, hi, max_iter):
+    """Newton-KKT iterations with the KKT matrix assembled by ``np.block``."""
+    ev = _evaluate(problem, d)
+    _, gf, _, J = ev
+    lam = np.linalg.lstsq(J.T, -gf, rcond=None)[0]
+    iters = 0
+    norm = math.inf
+    best = (math.inf, d, ev)
+    for _ in range(max_iter + 1):
+        _, gf, c, J = ev
+        r_stat = -gf - J.T @ lam
+        merit = max(float(np.max(np.abs(r_stat))), float(np.max(np.abs(c))))
+        if merit < best[0]:
+            best = (merit, d, ev)
+        if merit <= 1e-14 or iters == max_iter or norm < STEP_TOL:
+            break
+        W = -problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
+        k = len(c)
+        kkt = np.block([[W, -J.T], [J, np.zeros((k, k))]])
+        rhs = np.concatenate((-r_stat, -c))
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        step = sol[: problem.dim]
+        norm = float(np.max(np.abs(step)))
+        if norm > 0.05:
+            step = step * (0.05 / norm)
+        d = np.clip(d + step, lo, hi)
+        lam = lam + sol[problem.dim:]
+        iters += 1
+        ev = _evaluate(problem, d)
+    return best[1], iters, best[2]
+
+
+def eigvalsh_report_parts(problem, d, lo, hi, ev):
+    """Objective, equality residuals, KKT norm and the largest eigenvalue of
+    the symmetrised reduced Hessian (-inf for an empty null space)."""
+    f, gf, c, J = ev
+    lam, *_ = np.linalg.lstsq(J.T, gf, rcond=None)
+    proj = gf - J.T @ lam
+    at_lo = d <= lo + 1e-12
+    at_hi = d >= hi - 1e-12
+    proj[at_lo] = np.maximum(proj[at_lo], 0.0)
+    proj[at_hi] = np.minimum(proj[at_hi], 0.0)
+    kkt = float(np.linalg.norm(proj))
+    A = np.vstack((J, np.eye(problem.dim)[at_lo | at_hi]))
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int(np.sum(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
+    Z = Vt[rank:].T
+    curvature = -math.inf
+    if Z.shape[1]:
+        W = problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
+        reduced = Z.T @ W @ Z
+        curvature = float(np.max(np.linalg.eigvalsh(0.5 * (reduced + reduced.T))))
+    return f, (float(c[0]), float(c[1])), kkt, curvature
+
+
+def block_kkt_solve(problem, config=None):
+    """The default solve through triangle suffix sums, the zero angle-sum
+    Hessian, the ``np.block`` KKT matrix and the ``eigvalsh`` certificate."""
+    problem = _triangle_problem(problem)
+    cfg = config or SolverConfig()
+    lo = np.zeros(problem.dim) - problem.base_angle
+    hi = problem.upper - problem.base_angle
+    warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
+    warm_obj, _ = problem.objective(warm_dev)
+    n_starts = cfg.starts if cfg.starts is not None else 1 + 2 * problem.dim
+    best_partial = None
+    for s in range(n_starts):
+        d0 = warm_dev.copy()
+        if s > 0:
+            j = (s - 1) % problem.dim
+            mag = PERTURBATIONS[((s - 1) // problem.dim) % len(PERTURBATIONS)]
+            d0[j] += mag if j % 2 == 0 else -mag
+        d, iters, ev = _block_newton_kkt(problem, np.clip(d0, lo, hi), lo, hi,
+                                         cfg.max_outer)
+        obj, eq_res, kkt, curvature = eigvalsh_report_parts(problem, d, lo, hi, ev)
+        converged = (max(abs(eq_res[0]), abs(eq_res[1])) <= cfg.tol_eq
+                     and kkt <= cfg.tol_kkt and curvature < 0.0)
+        report = SolveReport(
+            family=problem.family, n=problem.n,
+            angles=tuple(float(a) for a in problem.base_angle + d),
+            objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
+            iterations=iters, starts_used=s + 1, converged=converged,
+        )
+        if converged and obj >= warm_obj:
+            return report
+        if best_partial is None or obj > best_partial.objective:
+            best_partial = report
+    return dataclasses.replace(best_partial, starts_used=n_starts)

@@ -162,6 +162,16 @@ def test_table_t4_row8(capsys):
                    "3.1214451523", "0.2219"]
 
 
+def test_table_t4_exits_1_where_the_bound_gap_is_below_one_ulp(capsys):
+    # ub_L - L_b = pi^7/(32 n^6) ~ 8.2e-17 at n = 1024 rounds to 0 in binary64
+    code, out, err = run(capsys, "table", "--id", "4", "--n", "1024")
+    assert code == EXIT_CHECK
+    assert out == ""
+    gap = bounds.gap_constants("b-perimeter", 1024) / 1024 ** 6
+    assert "n=1024" in err and f"{gap:.3g}" in err
+    assert "Traceback" not in err
+
+
 def test_table_t5_t6_angle_rows(capsys):
     code, out, _ = run(capsys, "table", "--id", "5", "--n", "8")
     assert code == EXIT_OK

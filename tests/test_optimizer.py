@@ -19,12 +19,15 @@ from smallpoly import (
     solve,
     upper_bounds,
 )
+from smallpoly.optimizer import _evaluate, _final_report_parts
 
 from _reference import (
     OPTIMAL_ANGLES_B,
     OPTIMAL_ANGLES_Q,
     OPTIMAL_PERIMETER_B,
     OPTIMAL_PERIMETER_Q,
+    block_kkt_solve,
+    eigvalsh_report_parts,
     loop_b_closure_derivatives,
     loop_q_closure_gradient,
     loop_q_closure_hessian,
@@ -44,7 +47,7 @@ def _fd_gradient(fn, d, h=1e-7):
 def test_b_problem_shape():
     problem = build_b_problem(8)
     assert problem.dim == 3
-    assert np.allclose(problem.lower, 0.0)
+    assert min(solve(problem).angles) >= 0.0  # every angle is bounded below by 0
     assert problem.upper[0] == pytest.approx(math.pi / 6)
     assert problem.upper[-1] == pytest.approx(math.pi / 3)
     assert build_b_problem(16).dim == 5
@@ -322,7 +325,7 @@ def _bitwise_equal(a, b):
 
 def _oracle_points(problem):
     """The warm start and four perturbations of it, clipped to the box."""
-    lo = problem.lower - problem.base_angle
+    lo = -problem.base_angle
     hi = problem.upper - problem.base_angle
     warm = problem.warm_start - problem.base_angle
     rng = np.random.default_rng(problem.n)
@@ -378,3 +381,35 @@ def test_large_default_solve_is_certified_from_the_first_start(builder, n):
     assert report.starts_used == 1
     assert report.iterations <= 4
     certify(report, n, report.family)
+
+
+@pytest.mark.parametrize("builder,n", [
+    *((build_b_problem, 2 ** s) for s in range(3, 12)),
+    *((build_q_problem, 2 ** s) for s in range(2, 11)),
+])
+def test_solve_report_equals_the_block_kkt_reference(builder, n):
+    problem = builder(n)
+    assert repr(solve(problem)) == repr(block_kkt_solve(problem))
+
+
+def _certificate_points():
+    for builder, ns in ((build_b_problem, range(3, 13)), (build_q_problem, range(2, 12))):
+        for s in ns:
+            problem = builder(2 ** s)
+            yield problem, np.array(solve(problem).angles)
+    for builder, n in ((build_b_problem, 8), (build_b_problem, 64), (build_q_problem, 16)):
+        problem = builder(n)
+        yield _negated(problem), np.array(solve(problem).angles)
+
+
+def test_cholesky_certificate_equals_the_eigvalsh_sign():
+    verdicts = []
+    for problem, angles in _certificate_points():
+        d = angles - problem.base_angle
+        lo, hi = -problem.base_angle, problem.upper - problem.base_angle
+        ev = _evaluate(problem, d)
+        negative_definite = _final_report_parts(problem, d, lo, hi, ev)[3]
+        curvature = eigvalsh_report_parts(problem, d, lo, hi, ev)[3]
+        assert negative_definite == (curvature < 0.0), (problem.family, problem.n)
+        verdicts.append(negative_definite)
+    assert verdicts.count(False) == 3  # the three negated optima
