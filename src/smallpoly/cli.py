@@ -209,6 +209,13 @@ def _row_decimals(n: int, digits: int | None) -> int:
     return 12 if n == 128 else 10
 
 
+def _require_gap(table: str, n: int, label: str, rounded: float, gap: float) -> None:
+    """Raise where a ratio's denominator, ``gap`` without cancellation, rounds to <= 0."""
+    if not rounded > 0.0:
+        raise CertificationError(f"{table} ratio at n={n} is not computable in binary64: "
+                                 f"{label} = {gap:.3g} rounds to {rounded!r}")
+
+
 def table_csv(spec: TableSpec, digits: int | None = None,
               config: SolverConfig | None = None) -> str:
     """Render one of the six reference tables as CSV text.
@@ -220,10 +227,10 @@ def table_csv(spec: TableSpec, digits: int | None = None,
     """
     out = []
     tid = spec.table_id
+    dec10 = digits if digits is not None else 10
     if tid == "T1_perimeters":
         out.append("n,L_regular,L_regular_plus,L_tamvakis,L_mossinghoff,L_b,ub_L,ratio_b_vs_mossinghoff")
         for n in spec.n_values:
-            dec10 = digits if digits is not None else 10
             dec = _row_decimals(n, digits)
             lr, _ = bounds.closed_form("regular", n)
             lrp, _ = bounds.closed_form("regular-plus", n)
@@ -238,37 +245,36 @@ def table_csv(spec: TableSpec, digits: int | None = None,
     elif tid == "T2_widths":
         out.append("n,W_regular,W_regular_plus,W_b,ub_W,ratio_b_vs_regular_plus")
         for n in spec.n_values:
-            dec = digits if digits is not None else 10
             _, wr = bounds.closed_form("regular", n)
             _, wrp = bounds.closed_form("regular-plus", n)
             _, wb = bounds.closed_form("b", n)
             ub = bounds.upper_bounds(n).ubW
+            _require_gap("T2", n, "ub_W - W_R+", ub - wrp,
+                         bounds.gap_constants("regular-plus-width", n) / n ** 3)
             ratio = (wb - wrp) / (ub - wrp)
-            out.append(",".join([str(n), _fmt(wr, dec), _fmt(wrp, dec),
-                                 _fmt(wb, dec), _fmt(ub, dec), _fmt(ratio, 4)]))
+            out.append(",".join([str(n), _fmt(wr, dec10), _fmt(wrp, dec10),
+                                 _fmt(wb, dec10), _fmt(ub, dec10), _fmt(ratio, 4)]))
     elif tid == "T3_unit_perimeter_widths":
         out.append("n,w_regular_hat,ub_w_prev,w_b_hat,ub_w,ratio_b_hat")
         for n in spec.n_values:
-            dec = digits if digits is not None else 10
             _, wrh = bounds.closed_form("regular-hat", n)
             prev = bounds.upper_bounds(n - 1).ubw
             _, wbh = bounds.closed_form("b-hat", n)
             ub = bounds.upper_bounds(n).ubw
+            # ub_w(n) = x cot(x) / pi at x = pi/2n; x cot x = 1 - x^2/3 - x^4/45 - ..
+            _require_gap("T3", n, "ub_w(n) - ub_w(n-1)", ub - prev,
+                         math.pi * (2 * n - 1) / (12 * n ** 2 * (n - 1) ** 2))
             ratio = (wbh - prev) / (ub - prev)
-            out.append(",".join([str(n), _fmt(wrh, dec), _fmt(prev, dec),
-                                 _fmt(wbh, dec), _fmt(ub, dec), _fmt(ratio, 4)]))
+            out.append(",".join([str(n), _fmt(wrh, dec10), _fmt(prev, dec10),
+                                 _fmt(wbh, dec10), _fmt(ub, dec10), _fmt(ratio, 4)]))
     elif tid == "T4_optimal_perimeters":
         out.append("n,L_q_opt,L_b,L_b_opt,ub_L,ratio_opt_gain")
         for n in spec.n_values:
-            dec10 = digits if digits is not None else 10
             dec = _row_decimals(n, digits)
             lb, _ = bounds.closed_form("b", n)
             ub = bounds.upper_bounds(n).ubL
-            if not ub - lb > 0.0:
-                gap = bounds.gap_constants("b-perimeter", n) / n ** 6
-                raise CertificationError(
-                    f"T4 ratio at n={n} is not computable in binary64: "
-                    f"ub_L - L_b = {gap:.3g} rounds to {ub - lb!r}")
+            _require_gap("T4", n, "ub_L - L_b", ub - lb,
+                         bounds.gap_constants("b-perimeter", n) / n ** 6)
             lq = solve(build_q_problem(n), config).objective
             lbo = solve(build_b_problem(n), config).objective
             ratio = (lbo - lb) / (ub - lb)

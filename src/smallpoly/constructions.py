@@ -36,6 +36,7 @@ from .bounds import b_alternation, is_power_of_two, q_alternation
 from .geometry import (
     Family,
     SmallPolygon,
+    _shift,
     small_polygon_violations,
     validate_small_polygon,
 )
@@ -67,7 +68,7 @@ def _boundary_order(xy: np.ndarray) -> np.ndarray:
     cy = math.fsum(xy[:, 1].tolist()) / len(xy)
     order = np.argsort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx), kind="stable")
     first = int(np.argmin(np.hypot(xy[order, 0], xy[order, 1])))
-    return np.roll(order, -first)
+    return _shift(order, first)
 
 
 def _polygon(verts, family, params) -> SmallPolygon:
@@ -90,13 +91,14 @@ def regular(n: int) -> SmallPolygon:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if n % 2 == 0:
-        radius = 0.5
-    else:
-        radius = 1.0 / (2.0 * math.cos(math.pi / (2 * n)))
+    return _polygon(_regular_vertices(n), Family.REGULAR, {"n": n})
+
+
+def _regular_vertices(n: int) -> np.ndarray:
+    """The vertex rows of :func:`regular`, unvalidated."""
+    radius = 0.5 if n % 2 == 0 else 1.0 / (2.0 * math.cos(math.pi / (2 * n)))
     t = 2 * math.pi * np.arange(n) / n
-    verts = np.column_stack((radius * np.sin(t), radius - radius * np.cos(t)))
-    return _polygon(verts, Family.REGULAR, {"n": n})
+    return np.column_stack((radius * np.sin(t), radius - radius * np.cos(t)))
 
 
 def regular_plus(n: int) -> SmallPolygon:
@@ -109,7 +111,7 @@ def regular_plus(n: int) -> SmallPolygon:
     if n < 4 or n % 2 != 0:
         raise ValueError(f"need even n >= 4, got {n}")
     top = (n - 2) // 2  # apex goes between the two topmost vertices
-    verts = np.insert(regular(n - 1).xy, top + 1, (0.0, 1.0), axis=0)
+    verts = np.insert(_regular_vertices(n - 1), top + 1, (0.0, 1.0), axis=0)
     return _polygon(verts, Family.REGULAR_PLUS, {"n": n})
 
 
@@ -144,7 +146,7 @@ def reuleaux_subdivision(m: int, n: int) -> SmallPolygon:
         raise ValueError(f"need odd m >= 3, got {m}")
     if n % m != 0:
         raise ValueError(f"need m | n, got m={m}, n={n}")
-    verts = _reuleaux(regular(m).xy, [n // m] * m)
+    verts = _reuleaux(_regular_vertices(m), [n // m] * m)
     return _polygon(verts, Family.REULEAUX_SUB, {"m": m, "n": n})
 
 
@@ -214,27 +216,25 @@ class _AngleParam:
         return math.fsum([self._CLOSURE] + terms.tolist())
 
     def validate(self, sum_tol: float = ANGLE_SUM_TOL,
-                 closure_tol: float = CLOSURE_TOL) -> None:
+                 closure_tol: float = CLOSURE_TOL) -> bool:
+        """Raise InfeasibleAnglesError unless feasible within the tolerances; True if strictly so."""
         if not (is_power_of_two(self.n) and self.n >= self._MIN_N):
             raise InfeasibleAnglesError(f"need n = 2^s >= {self._MIN_N}, got {self.n}")
         dim = self._dim(self.n)
         if len(self.alphas) != dim:
             raise InfeasibleAnglesError(
                 f"need {dim} angles for n={self.n}, got {len(self.alphas)}")
-        for k, (a, hi) in enumerate(zip(self.alphas, self.upper(self.n).tolist())):
-            if not (-BOX_TOL <= a <= hi + BOX_TOL):
-                raise InfeasibleAnglesError(f"angle {k} = {a} outside [0, {hi}]")
+        a, hi = np.array(self.alphas), self.upper(self.n)
+        k = int(np.argmin((a >= -BOX_TOL) & (a <= hi + BOX_TOL)))  # the first outside, if any
+        if not -BOX_TOL <= a[k] <= hi[k] + BOX_TOL:
+            raise InfeasibleAnglesError(f"angle {k} = {self.alphas[k]} outside [0, {hi[k]}]")
         rs = self.angle_sum_residual()
         rc = self.closure_residual()
         if abs(rs) > sum_tol or abs(rc) > closure_tol:
             raise InfeasibleAnglesError(
                 f"infeasible angles: sum residual {rs:.3e}, closure residual {rc:.3e}",
                 angle_sum_residual=rs, closure_residual=rc)
-
-    def is_strict(self) -> bool:
-        """True when both residuals are within the exact-feasibility tolerances."""
-        return (abs(self.angle_sum_residual()) <= ANGLE_SUM_TOL
-                and abs(self.closure_residual()) <= CLOSURE_TOL)
+        return abs(rs) <= ANGLE_SUM_TOL and abs(rc) <= CLOSURE_TOL
 
 
 class AngleParamB(_AngleParam):
@@ -341,12 +341,12 @@ def _q_vertices(n: int, alphas: Sequence[float]) -> np.ndarray:
 
 
 def _from_angles(param: _AngleParam, vertices, variant: str) -> SmallPolygon:
-    param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
+    strict = param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
     verts = vertices(param.n, param.alphas)
     verts = verts[_boundary_order(verts)]
     params = {"variant": variant, "n": param.n, "alphas": list(param.alphas)}
     poly = SmallPolygon.from_coords(verts, Family.FROM_ANGLES, params)
-    if param.is_strict():
+    if strict:
         validate_small_polygon(poly)
     else:
         # rounding-level infeasibility shifts the half-cycle endpoint, so the

@@ -7,8 +7,8 @@ None of it knows about closed forms, so it can serve as an independent
 cross-check for the analytic expressions in :mod:`smallpoly.bounds`.
 
 All operations are pure functions of immutable values and are safe to call
-concurrently; the convexity test, the antipodes and the diameter sweep a
-polygon caches are deterministic, so a race can at most compute one twice.
+concurrently; what a polygon caches (convexity, antipodes, width, sweep) is
+deterministic, so a race can at most compute one value twice.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ class SmallPolygon:
     invariants (strict convexity, diameter one, first vertex at the origin)
     are guaranteed by the constructors in :mod:`smallpoly.constructions` and
     can be re-checked with :func:`small_polygon_violations`.  The convexity
-    test, the antipode search of a convex polygon and the diameter sweep run
-    at most once per polygon and are cached on it; :func:`width` and the
-    sweep share the antipodes.
+    test, the antipode search of a convex polygon, its width and the diameter
+    sweep run at most once per polygon and are cached on it; the width and
+    the sweep share the antipodes.
     """
 
     xy: np.ndarray
@@ -98,7 +98,7 @@ class SmallPolygon:
                 f"vertices must be (x, y) pairs, got an array of shape {xy.shape}")
         if len(xy) < 3:
             raise InvalidPolygonError(f"a polygon needs at least 3 vertices, got {len(xy)}")
-        if not np.all(np.isfinite(xy)):
+        if not np.isfinite(xy).all():
             raise InvalidPolygonError("non-finite vertex coordinate")
         xy.flags.writeable = False
         object.__setattr__(self, "xy", xy)
@@ -129,6 +129,10 @@ class SmallPolygon:
     def _far(self) -> np.ndarray:
         # each edge's antipodal vertex; meaningful for convex polygons only
         return _antipodes(self.xy)
+
+    @cached_property
+    def _width(self) -> float:
+        return _support_width(self.xy, self._far)
 
     @cached_property
     def _diameter(self) -> tuple[float, np.ndarray]:
@@ -177,13 +181,9 @@ def _shift(a: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate((a[k:], a[:k]))
 
 
-def _edge_vectors(coords: np.ndarray) -> np.ndarray:
-    return _shift(coords, 1) - coords
-
-
 def perimeter(p: SmallPolygon) -> float:
     """Sum of edge lengths, closed cyclically."""
-    e = _edge_vectors(p.xy)
+    e = _shift(p.xy, 1) - p.xy
     return math.fsum(np.hypot(e[:, 0], e[:, 1]).tolist())
 
 
@@ -200,27 +200,29 @@ def is_convex(p: SmallPolygon) -> bool:
 def _scaled(coords: np.ndarray) -> np.ndarray:
     """``coords`` times the power of two putting them in [-1, 1]: cross
     products then neither overflow nor, for tiny polygons, underflow."""
-    return np.ldexp(coords, -int(np.frexp(np.max(np.abs(coords)))[1]))
+    return np.ldexp(coords, -int(np.frexp(np.abs(coords).max())[1]))
 
 
 def _is_convex(coords: np.ndarray) -> bool:
-    e = _edge_vectors(_scaled(coords))
+    c = _scaled(coords)
+    e = _shift(c, 1) - c
     nxt = _shift(e, 1)
     cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
     lengths = np.hypot(e[:, 0], e[:, 1])
     turns = np.arctan2(cross, e[:, 0] * nxt[:, 0] + e[:, 1] * nxt[:, 1])
-    return bool(np.all(cross > CONVEXITY_TOL * lengths * _shift(lengths, 1))
-                and np.sum(turns) < 3 * math.pi)  # the turns add up to 2 pi per winding
+    return bool((cross > CONVEXITY_TOL * lengths * _shift(lengths, 1)).all()
+                and turns.sum() < 3 * math.pi)  # the turns add up to 2 pi per winding
 
 
 def _antipodes(coords: np.ndarray) -> np.ndarray:
     """For each edge of a convex CCW polygon, the vertex farthest from its line.
 
-    Binary search on the unwrapped edge angles for the edge's reverse
-    direction; rounding in the angles can pick a neighbour of that vertex.
+    Binary search on the edge angles less the first one's, mod 2 pi, for the
+    edge's reverse direction; rounding or a parallel edge can pick a neighbour.
     """
-    e = _edge_vectors(coords)
-    theta = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
+    e = _shift(coords, 1) - coords
+    theta = np.arctan2(e[:, 1], e[:, 0])
+    theta = (theta - theta[0]) % (2 * math.pi)
     ext = np.concatenate((theta, theta + 2 * math.pi))
     return np.searchsorted(ext, theta + math.pi) % len(coords)
 
@@ -229,17 +231,23 @@ def width(p: SmallPolygon) -> float:
     """Minimum support-line distance over all boundary-edge normals.
 
     For a convex polygon the width direction is normal to some edge, so
-    enumerating edges is exact.  Non-convex input is rejected.
+    enumerating edges is exact.  Non-convex input is rejected.  Cached per
+    polygon; raises ``FloatingPointError`` where it overflows binary64.
     """
     if not is_convex(p):
         raise NonConvexError("width is only defined here for convex CCW polygons")
-    coords = p.xy
-    e = _edge_vectors(coords)
-    far = (p._far[:, None] + np.arange(-1, 2)) % len(coords)
+    return p._width
+
+
+@np.errstate(over="raise")  # under any caller's errstate: a cached width hides no overflow
+def _support_width(coords: np.ndarray, far: np.ndarray) -> float:
+    """The width of a convex CCW polygon, given its ``_antipodes``."""
+    x, y = np.ascontiguousarray(coords.T)  # contiguous columns gather faster
+    ex, ey = _shift(x, 1) - x, _shift(y, 1) - y
+    far = (far[:, None] + np.arange(-1, 2)) % len(x)
     # distance of the antipodal vertex and its two neighbours from each edge's line
-    d = coords[far] - coords[:, None, :]
-    cross = e[:, None, 0] * d[:, :, 1] - e[:, None, 1] * d[:, :, 0]
-    return float(np.min(np.max(cross, axis=1) / np.hypot(e[:, 0], e[:, 1])))
+    cross = ex[:, None] * (y[far] - y[:, None]) - ey[:, None] * (x[far] - x[:, None])
+    return float((cross.max(axis=1) / np.hypot(ex, ey)).min())
 
 
 def _hull(coords: np.ndarray) -> np.ndarray:
@@ -285,14 +293,15 @@ def _sweep(coords: np.ndarray, hull: np.ndarray, far: np.ndarray) -> tuple[float
     k = np.repeat(np.arange(m), counts)
     step = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
     i, j = hull[k], hull[(prev[k] - 1 + step) % m]
-    dist = np.hypot(coords[j, 0] - coords[i, 0], coords[j, 1] - coords[i, 1])
-    dmax = float(np.max(dist))
+    x, y = np.ascontiguousarray(coords.T)
+    dist = np.hypot(x[j] - x[i], y[j] - y[i])
+    dmax = float(dist.max())
     # each pair as lo * n + hi, so that one sort orders the pairs and a
     # neighbour comparison drops the repeats
     on = (dist >= dmax - DIAMETER_TOL) & (i != j)
     i, j = i[on], j[on]
     keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
-    keys = keys[np.diff(keys, prepend=-1) > 0]
+    keys = keys[np.concatenate(([True], keys[1:] > keys[:-1]))]
     edges = np.stack(np.divmod(keys, n), axis=1)
     edges.flags.writeable = False
     return dmax, edges
@@ -355,7 +364,7 @@ def small_polygon_violations(p: SmallPolygon) -> list[str]:
     x0, y0 = p.xy[0].tolist()
     if math.hypot(x0, y0) > HALF_PLANE_TOL:
         problems.append(f"first vertex ({x0}, {y0}) is not at the origin")
-    if np.any(p.xy[:, 1] < -HALF_PLANE_TOL):
+    if (p.xy[:, 1] < -HALF_PLANE_TOL).any():
         problems.append("polygon leaves the half-plane y >= 0")
     return problems
 

@@ -6,7 +6,8 @@ sources, so computed values must match within 5e-11 (5e-13 for the
 digits; solver output must match within 1e-5.
 
 ``pairwise_diameter`` and ``pairwise_width`` are O(n^2) all-pairs sweeps, the
-oracle for the caliper sweep in ``smallpoly.geometry``;
+oracle for the caliper sweep in ``smallpoly.geometry``; ``unwrap_antipodes``
+searches the ``np.unwrap``-ed edge angles, the former antipode search;
 ``pairwise_mirror_distance`` is the all-pairs oracle for the sorted pairing
 in ``smallpoly.cli._mirror_distance``.
 
@@ -181,6 +182,14 @@ def pairwise_width(p):
         support = np.max(cross, axis=1) / lengths[sl]
         w = min(w, float(np.min(support)))
     return w
+
+
+def unwrap_antipodes(coords):
+    """Each edge's antipodal vertex, by binary search on the unwrapped edge angles."""
+    e = np.roll(coords, -1, axis=0) - coords
+    theta = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
+    ext = np.concatenate((theta, theta + 2 * math.pi))
+    return np.searchsorted(ext, theta + math.pi) % len(coords)
 
 
 def pairwise_diameter(p):

@@ -23,9 +23,15 @@ from smallpoly import (
 )
 from smallpoly.cli import _graph_structure, build_polygon
 from smallpoly.constructions import diameter_cycle
-from smallpoly.geometry import _antipodes, _hull, _sweep
+from smallpoly.geometry import _antipodes, _hull, _support_width, _sweep
 
-from _reference import cycle_walk, diameter_graph, pairwise_diameter, pairwise_width
+from _reference import (
+    cycle_walk,
+    diameter_graph,
+    pairwise_diameter,
+    pairwise_width,
+    unwrap_antipodes,
+)
 
 POWERS = tuple(2 ** s for s in range(2, 13))
 FAMILY_CASES = (
@@ -41,6 +47,33 @@ def test_sweep_matches_pairwise_oracle_on_families(family, n, m):
     poly = build_polygon(family, n, m)
     assert diameter(poly) == pairwise_diameter(poly)
     assert width(poly) == pairwise_width(poly)
+
+
+# even regular n: opposite edges are parallel, so each edge's antipode is a tie
+EVEN_REGULAR = (6, 8, 10, 12, 16, 30, 62, 64, 100, 126, 1000, 1022, 1024, 2046, 4094, 4096)
+
+
+@pytest.mark.parametrize("n", EVEN_REGULAR)
+def test_even_regular_antipode_ties_keep_width_and_diameter(n):
+    poly = regular(n)
+    far, unwrapped = poly._far, unwrap_antipodes(poly.xy)
+    # a tie names either end of the opposite edge, one apart
+    assert set(((far - unwrapped) % n).tolist()) <= {0, 1, n - 1}
+    # the +-1 slack of the width and the sweep reads both ends either way
+    assert _support_width(poly.xy, far) == _support_width(poly.xy, unwrapped)
+    everything = np.arange(n)
+    d, edges = _sweep(poly.xy, everything, far)
+    d_unwrapped, edges_unwrapped = _sweep(poly.xy, everything, unwrapped)
+    assert d == d_unwrapped and np.array_equal(edges, edges_unwrapped)
+    assert len(edges) == n // 2
+    assert diameter(poly) == pairwise_diameter(poly)
+    assert width(poly) == pairwise_width(poly)
+
+
+def test_even_regular_antipode_ties_are_broken_differently_than_unwrapped():
+    # the case above is not vacuous: at these n the two searches disagree on some edges
+    for n in (6, 16, 1024, 4094):
+        assert np.any(regular(n)._far != unwrap_antipodes(regular(n).xy))
 
 
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)

@@ -172,6 +172,19 @@ def test_table_t4_exits_1_where_the_bound_gap_is_below_one_ulp(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("table,label,gap", [
+    ("2", "ub_W - W_R+", bounds.gap_constants("regular-plus-width", 2 ** 20) / 2 ** 60),
+    # ub_w(n) - ub_w(n-1) = 4.5415019368e-19 at n = 2^20 (mpmath, 60 digits)
+    ("3", "ub_w(n) - ub_w(n-1)", 4.5415019368e-19),
+], ids=["T2", "T3"])
+def test_table_t2_t3_exit_1_where_the_ratio_denominator_rounds_to_0(capsys, table, label, gap):
+    code, out, err = run(capsys, "table", "--id", table, "--n", "1048576")
+    assert code == EXIT_CHECK
+    assert out == "" and "Traceback" not in err
+    assert err == (f"error: T{table} ratio at n=1048576 is not computable in binary64: "
+                   f"{label} = {gap:.3g} rounds to 0.0\n")
+
+
 def test_table_t5_t6_angle_rows(capsys):
     code, out, _ = run(capsys, "table", "--id", "5", "--n", "8")
     assert code == EXIT_OK
@@ -377,7 +390,33 @@ def test_verify_checks_search_antipodes_once_per_polygon(monkeypatch):
 
     monkeypatch.setattr(geometry, "_antipodes", counted)
     verify_checks(1024)
-    assert len({id(coords) for coords in searched}) == len(searched) == 127
+    assert len({id(coords) for coords in searched}) == len(searched) == 113
+
+
+def test_verify_checks_compute_each_polygons_geometry_once(monkeypatch):
+    from smallpoly import constructions, geometry
+    calls = {name: [] for name in ("_is_convex", "_sweep", "_support_width")}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name].append(args[0])  # the coordinates; kept alive so ids stay unique
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(geometry, name, counting(name, getattr(geometry, name)))
+    unwraps, closures = [], []
+    monkeypatch.setattr(np, "unwrap", lambda *a, **k: unwraps.append(a))
+    closure_residual = constructions._AngleParam.closure_residual
+    monkeypatch.setattr(constructions._AngleParam, "closure_residual",
+                        lambda self: closures.append(self) or closure_residual(self))
+    results = verify_checks(1024)
+    assert len(results) == 231 and all(ok for _, ok, _ in results)
+    counts = {name: len(seen) for name, seen in calls.items()}
+    assert counts == {"_is_convex": 113, "_sweep": 113, "_support_width": 96}
+    for seen in calls.values():  # one pass per polygon
+        assert len({id(coords) for coords in seen}) == len(seen)
+    assert unwraps == [] and len(closures) == 17
 
 
 @pytest.mark.parametrize("build,n_min", [(b_family, 8), (q_family, 4)], ids=["b", "q"])

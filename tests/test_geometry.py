@@ -1,5 +1,6 @@
 """Coordinate-level metric tests: known shapes, invariants, JSON round-trips."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -72,6 +73,18 @@ def test_width_rejects_non_convex():
         width(CHEVRON)
     with pytest.raises(NonConvexError):
         measure(CHEVRON)
+
+
+def test_measure_still_raises_on_overflow_after_an_unguarded_width_call():
+    # half-side 8e153: an edge's length times its antipode's offset, (1.6e154)^2,
+    # and the area overflow binary64, while the perimeter and the diameter do not
+    h = 8e153
+    square = SmallPolygon.from_coords([(-h, -h), (h, -h), (h, h), (-h, h)])
+    assert math.isfinite(perimeter(square)) and math.isfinite(diameter(square)[0])
+    with np.errstate(over="ignore"), contextlib.suppress(FloatingPointError):
+        width(square)
+    with pytest.raises(InvalidPolygonError):
+        measure(square)
 
 
 def test_diameter_simple_max_pair():
