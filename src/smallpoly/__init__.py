@@ -12,7 +12,6 @@ from .geometry import (
     InvalidPolygonError,
     MetricsReport,
     NonConvexError,
-    Point2,
     SmallPolygon,
     area,
     diameter,
@@ -73,7 +72,7 @@ __all__ = [
     "AngleParamB", "AngleParamQ", "BoundSet", "CertificationError",
     "DIAMETER_TOL", "Family", "GAP_LAWS", "InfeasibleAnglesError",
     "InvalidPolygonError", "MetricsReport", "NlpProblem", "NonConvexError",
-    "NonConvergenceError", "Point2", "SmallPolygon", "SolveReport",
+    "NonConvergenceError", "SmallPolygon", "SolveReport",
     "SolverConfig", "UnknownFamilyError", "area", "b_alternation", "b_angles",
     "b_family", "build_b_problem", "build_q_problem", "certify",
     "closed_form", "diameter", "extract_angles_b", "extract_angles_q",

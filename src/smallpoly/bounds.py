@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 PI = math.pi
 
@@ -58,6 +59,37 @@ def upper_bounds(n: int) -> BoundSet:
     half = PI / (2 * n)
     return BoundSet(n=n, ubL=2 * n * math.sin(half), ubW=math.cos(half),
                     ubw=1.0 / (2 * n * math.tan(half)))
+
+
+@cache
+def _xcotx_coefficient(k: int) -> Fraction:
+    """c_k of x cot x = 1 - sum_{k>=1} c_k x^(2k): 1/3, 1/45, 2/945, .., exact.
+
+    From x cot x = cos x / (sin(x)/x), term by term in x^2.
+    """
+    cos_k = Fraction((-1) ** k, math.factorial(2 * k))
+    sinc = [Fraction((-1) ** j, math.factorial(2 * j + 1)) for j in range(k + 1)]
+    return sinc[k] - cos_k - sum(sinc[j] * _xcotx_coefficient(k - j) for j in range(1, k))
+
+
+def ubw_step(n: int) -> float:
+    """ub_w(n) - ub_w(n-1), summed without cancellation.
+
+    ub_w(n) = x cot(x) / pi at x = pi/2n, so the step is
+    (1/pi) sum_k c_k (pi/2)^(2k) (1/(n-1)^(2k) - 1/n^(2k)) with the c_k of
+    :func:`_xcotx_coefficient`.  Every term is positive, and each
+    c_k (1/(n-1)^(2k) - 1/n^(2k)) is an exact ratio of integers rounded once.
+    """
+    _require(n >= 4, f"need n >= 4, got {n}")
+    total, k = 0.0, 1
+    while True:
+        c = _xcotx_coefficient(k)
+        term = (c.numerator * (n ** (2 * k) - (n - 1) ** (2 * k))
+                / (c.denominator * (n * (n - 1)) ** (2 * k))) * (PI / 2) ** (2 * k)
+        total += term
+        if term <= 1e-17 * total:
+            return total / PI
+        k += 1
 
 
 # ---------------------------------------------------------------------------

@@ -209,13 +209,6 @@ def _row_decimals(n: int, digits: int | None) -> int:
     return 12 if n == 128 else 10
 
 
-def _require_gap(table: str, n: int, label: str, rounded: float, gap: float) -> None:
-    """Raise where a ratio's denominator, ``gap`` without cancellation, rounds to <= 0."""
-    if not rounded > 0.0:
-        raise CertificationError(f"{table} ratio at n={n} is not computable in binary64: "
-                                 f"{label} = {gap:.3g} rounds to {rounded!r}")
-
-
 def table_csv(spec: TableSpec, digits: int | None = None,
               config: SolverConfig | None = None) -> str:
     """Render one of the six reference tables as CSV text.
@@ -249,9 +242,9 @@ def table_csv(spec: TableSpec, digits: int | None = None,
             _, wrp = bounds.closed_form("regular-plus", n)
             _, wb = bounds.closed_form("b", n)
             ub = bounds.upper_bounds(n).ubW
-            _require_gap("T2", n, "ub_W - W_R+", ub - wrp,
-                         bounds.gap_constants("regular-plus-width", n) / n ** 3)
-            ratio = (wb - wrp) / (ub - wrp)
+            # (W_b - W_R+) / (ub_W - W_R+) = 1 - (ub_W - W_b) / (ub_W - W_R+)
+            ratio = 1 - ((bounds.gap_constants("b-width", n) / n ** 4)
+                         / (bounds.gap_constants("regular-plus-width", n) / n ** 3))
             out.append(",".join([str(n), _fmt(wr, dec10), _fmt(wrp, dec10),
                                  _fmt(wb, dec10), _fmt(ub, dec10), _fmt(ratio, 4)]))
     elif tid == "T3_unit_perimeter_widths":
@@ -261,10 +254,8 @@ def table_csv(spec: TableSpec, digits: int | None = None,
             prev = bounds.upper_bounds(n - 1).ubw
             _, wbh = bounds.closed_form("b-hat", n)
             ub = bounds.upper_bounds(n).ubw
-            # ub_w(n) = x cot(x) / pi at x = pi/2n; x cot x = 1 - x^2/3 - x^4/45 - ..
-            _require_gap("T3", n, "ub_w(n) - ub_w(n-1)", ub - prev,
-                         math.pi * (2 * n - 1) / (12 * n ** 2 * (n - 1) ** 2))
-            ratio = (wbh - prev) / (ub - prev)
+            # (w_b - ub_w(n-1)) / (ub_w(n) - ub_w(n-1)) = 1 - (ub_w - w_b) / step
+            ratio = 1 - (bounds.gap_constants("b-hat-width", n) / n ** 4) / bounds.ubw_step(n)
             out.append(",".join([str(n), _fmt(wrh, dec10), _fmt(prev, dec10),
                                  _fmt(wbh, dec10), _fmt(ub, dec10), _fmt(ratio, 4)]))
     elif tid == "T4_optimal_perimeters":
@@ -273,8 +264,10 @@ def table_csv(spec: TableSpec, digits: int | None = None,
             dec = _row_decimals(n, digits)
             lb, _ = bounds.closed_form("b", n)
             ub = bounds.upper_bounds(n).ubL
-            _require_gap("T4", n, "ub_L - L_b", ub - lb,
-                         bounds.gap_constants("b-perimeter", n) / n ** 6)
+            if not ub - lb > 0.0:  # pi^7/(32 n^6) is below one ulp of pi from n = 1024
+                gap = bounds.gap_constants("b-perimeter", n) / n ** 6
+                raise CertificationError(f"T4 ratio at n={n} is not computable in binary64: "
+                                         f"ub_L - L_b = {gap:.3g} rounds to {ub - lb!r}")
             lq = solve(build_q_problem(n), config).objective
             lbo = solve(build_b_problem(n), config).objective
             ratio = (lbo - lb) / (ub - lb)

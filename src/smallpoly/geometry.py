@@ -58,18 +58,6 @@ class Family(str, Enum):
     RAW = "raw"
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A planar point; coordinates are in unit-diameter lengths."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidPolygonError(f"non-finite point ({self.x}, {self.y})")
-
-
 @dataclass(frozen=True, eq=False)
 class SmallPolygon:
     """An ordered (counterclockwise) vertex array plus construction metadata.
@@ -113,10 +101,6 @@ class SmallPolygon:
     def n(self) -> int:
         return len(self.xy)
 
-    @cached_property
-    def vertices(self) -> tuple[Point2, ...]:
-        return tuple(Point2(x, y) for x, y in self.xy.tolist())
-
     def coords(self) -> np.ndarray:
         """A writable copy of the (n, 2) vertex coordinates."""
         return self.xy.copy()
@@ -156,13 +140,12 @@ class SmallPolygon:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Perimeter, width, diameter, area, convexity and diameter-graph edges."""
+    """Perimeter, width, diameter, area and diameter-graph edges of a convex polygon."""
 
     perimeter: float
     width: float
     diameter: float
     area: float
-    convex: bool
     diameter_edges: tuple[tuple[int, int], ...]
 
     def to_json_dict(self) -> dict:
@@ -171,7 +154,6 @@ class MetricsReport:
             "width": self.width,
             "diameter": self.diameter,
             "area": self.area,
-            "convex": self.convex,
             "diameter_edges": [list(e) for e in self.diameter_edges],
         }
 
@@ -331,7 +313,8 @@ def to_unit_perimeter(p: SmallPolygon) -> SmallPolygon:
 def measure(p: SmallPolygon) -> MetricsReport:
     """Compute the full metrics report for a convex polygon.
 
-    Raises :class:`InvalidPolygonError` when a metric overflows binary64.
+    Raises :class:`NonConvexError` (from :func:`width`) on non-convex input
+    and :class:`InvalidPolygonError` when a metric overflows binary64.
     """
     try:
         with np.errstate(over="raise"):
@@ -341,7 +324,6 @@ def measure(p: SmallPolygon) -> MetricsReport:
                 width=width(p),
                 diameter=d,
                 area=area(p),
-                convex=True,  # width() above rejects non-convex input
                 diameter_edges=edges,
             )
     except (FloatingPointError, OverflowError) as exc:

@@ -18,12 +18,13 @@ from the problem's analytic warm start, the family member built by
 there.  A report counts as converged only when its residuals are small and
 the reduced Hessian of the Lagrangian on the null space of the active
 constraints is negative definite (the second-order sufficient condition,
-section 12.5), so a converged report is a strict local maximum.  Only while
-no start has converged do further starts perturb one warm-start coordinate
-at a time.  All computation happens in deviation variables d_k = a_k - pi/n:
-near the optima every angle clusters at pi/n, so deviations keep the linear
-constraint assembly exact and the Hessians well scaled.  The start schedule
-is deterministic (no RNG), so identical configurations reproduce
+section 12.5), so a converged report is a strict local maximum.  The warm
+start's perimeter is within O(1/n^6) (b) and O(1/n^4) (q) of the optimum's,
+close enough for Newton's local quadratic convergence, so each problem gets
+one Newton run.  All computation happens in deviation variables
+d_k = a_k - pi/n: near the optima every angle clusters at pi/n, so
+deviations keep the linear constraint assembly exact and the Hessians well
+scaled.  The solve uses no RNG, so identical configurations reproduce
 bit-identical reports.
 """
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,11 +51,10 @@ from .geometry import DIAMETER_TOL, MetricsReport, measure
 DEFAULT_TOL_EQ = 1e-11
 DEFAULT_TOL_KKT = 1e-9
 STEP_TOL = 1e-13        # Newton iterations stop once steps shrink below this
-PERTURBATIONS = (1e-3, 1e-2)  # fallback-start offsets, applied per coordinate
 
 
 class NonConvergenceError(RuntimeError):
-    """No start converged; carries the best partial report."""
+    """The solve ended without a certified maximum; carries its report."""
 
     def __init__(self, message: str, report: "SolveReport"):
         super().__init__(message)
@@ -89,7 +89,7 @@ class NlpProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve; ``starts_used`` counts the starts that ran."""
+    """Outcome of one solve; ``starts_used`` is always 1 (one Newton run)."""
 
     family: str
     n: int
@@ -119,19 +119,15 @@ class SolveReport:
 class SolverConfig:
     """Solver settings; invalid values raise ValueError."""
 
-    max_outer: int = 20           # Newton iterations per start
+    max_outer: int = 20           # most Newton iterations
     tol_eq: float = DEFAULT_TOL_EQ
     tol_kkt: float = DEFAULT_TOL_KKT
-    starts: int | None = None     # most starts to try; defaults to 1 + 2 * dim
 
     def __post_init__(self) -> None:
-        for key in ("max_outer", "starts"):
-            value = getattr(self, key)
-            if value is None and key == "starts":
-                continue
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"solver config {key!r} must be an integer >= 1, "
-                                 f"got {value!r}")
+        value = self.max_outer
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"solver config 'max_outer' must be an integer >= 1, "
+                             f"got {value!r}")
         for key in ("tol_eq", "tol_kkt"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
@@ -144,7 +140,7 @@ class SolverConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("solver config must be a JSON object")
-        known = {"max_outer", "tol_eq", "tol_kkt", "starts"}
+        known = {"max_outer", "tol_eq", "tol_kkt"}
         bad = set(data) - known
         if bad:
             raise ValueError(f"unknown solver config keys: {sorted(bad)}")
@@ -357,50 +353,43 @@ def _final_report_parts(problem, d, lo, hi, ev):
 
 
 def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveReport:
-    """Newton-KKT solve from the analytic warm start; returns the first converged report.
+    """One Newton-KKT solve from the analytic warm start, clipped to the box.
 
-    A candidate counts as converged when both equality residuals are within
+    The report counts as converged when both equality residuals are within
     ``tol_eq``, the projected stationarity norm is within ``tol_kkt``, and
-    the reduced Hessian is negative definite (a strict local maximum).
-    Candidates below the warm start's objective are discarded.  While no
-    candidate survives, further starts perturb single coordinates of the
-    warm start (magnitudes 1e-3 and 1e-2, alternating sign with the
-    coordinate index), up to ``starts`` in all.  Raises
-    :class:`NonConvergenceError` (carrying the best partial report) if none
-    survives.
+    the reduced Hessian is negative definite (a strict local maximum).  It
+    is returned when it converged with an objective at least the warm
+    start's; otherwise :class:`NonConvergenceError`, carrying the report,
+    names each criterion that failed.
     """
     cfg = config or SolverConfig()
     lo = -problem.base_angle
     hi = problem.upper - problem.base_angle
     warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
     warm_obj, _ = problem.objective(warm_dev)
-    n_starts = cfg.starts if cfg.starts is not None else 1 + 2 * problem.dim
-
-    best_partial = None  # highest objective regardless of convergence
-    for s in range(n_starts):
-        d0 = warm_dev.copy()
-        if s > 0:
-            j = (s - 1) % problem.dim
-            mag = PERTURBATIONS[((s - 1) // problem.dim) % len(PERTURBATIONS)]
-            d0[j] += mag if j % 2 == 0 else -mag
-        d, iters, ev = _newton_kkt(problem, np.clip(d0, lo, hi), lo, hi, cfg.max_outer)
-        obj, eq_res, kkt, definite = _final_report_parts(problem, d, lo, hi, ev)
-        converged = (max(abs(eq_res[0]), abs(eq_res[1])) <= cfg.tol_eq
-                     and kkt <= cfg.tol_kkt and definite)
-        report = SolveReport(
-            family=problem.family, n=problem.n,
-            angles=tuple(float(a) for a in problem.base_angle + d),
-            objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
-            iterations=iters, starts_used=s + 1, converged=converged,
-        )
-        if converged and obj >= warm_obj:
-            return report
-        if best_partial is None or obj > best_partial.objective:
-            best_partial = report
-    raise NonConvergenceError(
-        f"no start converged for family {problem.family!r}, n={problem.n}",
-        replace(best_partial, starts_used=n_starts),
+    d, iters, ev = _newton_kkt(problem, warm_dev, lo, hi, cfg.max_outer)
+    obj, eq_res, kkt, definite = _final_report_parts(problem, d, lo, hi, ev)
+    failed = []
+    eq = max(abs(eq_res[0]), abs(eq_res[1]))
+    if not eq <= cfg.tol_eq:
+        failed.append(f"eq residual {eq:.2g} > tol_eq {cfg.tol_eq:.2g}")
+    if not kkt <= cfg.tol_kkt:
+        failed.append(f"KKT residual {kkt:.2g} > tol_kkt {cfg.tol_kkt:.2g}")
+    if not definite:
+        failed.append("reduced Hessian not negative definite")
+    report = SolveReport(
+        family=problem.family, n=problem.n,
+        angles=tuple(float(a) for a in problem.base_angle + d),
+        objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
+        iterations=iters, starts_used=1, converged=not failed,
     )
+    if not obj >= warm_obj:
+        failed.append("objective below the warm start")
+    if failed:
+        raise NonConvergenceError(
+            f"no certified maximum for family {problem.family!r}, n={problem.n}: "
+            + "; ".join(failed), report)
+    return report
 
 
 def certify(report: SolveReport, n: int, family: str) -> MetricsReport:

@@ -38,8 +38,10 @@ call: closure derivatives from a fresh triangle of suffix sums, a zero
 angle-sum Hessian added into the Lagrangian Hessian, the KKT matrix
 assembled by ``np.block`` on every iteration, and ``eigvalsh_report_parts``,
 which certifies a maximum by the largest ``eigvalsh`` eigenvalue of the
-reduced Hessian.  It is the oracle, report for report, for
-``smallpoly.optimizer.solve`` and its Cholesky certificate.
+reduced Hessian.  It keeps the perturbed-start fallback that followed a
+failed first start.  It is the oracle, report for report, for
+``smallpoly.optimizer.solve`` and its Cholesky certificate, and for the
+outcome of the one-start solve.
 """
 
 import dataclasses
@@ -50,7 +52,6 @@ import numpy as np
 from smallpoly.cli import SVG_SCALE
 from smallpoly.geometry import DIAMETER_TOL, _json17, diameter
 from smallpoly.optimizer import (
-    PERTURBATIONS,
     STEP_TOL,
     SolverConfig,
     SolveReport,
@@ -58,6 +59,7 @@ from smallpoly.optimizer import (
 )
 
 _CHUNK = 256  # row block for pairwise-distance / support-distance sweeps
+PERTURBATIONS = (1e-3, 1e-2)  # block_kkt_solve's fallback-start offsets, per coordinate
 
 # n: (L_regular, L_regular_plus, L_tamvakis, L_mossinghoff, L_b, ub_L, ratio)
 PERIMETER_TABLE = {
@@ -561,16 +563,20 @@ def eigvalsh_report_parts(problem, d, lo, hi, ev):
     return f, (float(c[0]), float(c[1])), kkt, curvature
 
 
-def block_kkt_solve(problem, config=None):
-    """The default solve through triangle suffix sums, the zero angle-sum
-    Hessian, the ``np.block`` KKT matrix and the ``eigvalsh`` certificate."""
+def block_kkt_solve(problem, config=None, starts=None):
+    """The solve through triangle suffix sums, the zero angle-sum Hessian,
+    the ``np.block`` KKT matrix and the ``eigvalsh`` certificate, with the
+    former perturbed-start fallback: while no start has converged, up to
+    ``starts`` (default 1 + 2 * dim) starts each move one warm-start
+    coordinate.  Returns the first converged report whose objective is at
+    least the warm start's, or else the best partial one."""
     problem = _triangle_problem(problem)
     cfg = config or SolverConfig()
     lo = np.zeros(problem.dim) - problem.base_angle
     hi = problem.upper - problem.base_angle
     warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
     warm_obj, _ = problem.objective(warm_dev)
-    n_starts = cfg.starts if cfg.starts is not None else 1 + 2 * problem.dim
+    n_starts = starts if starts is not None else 1 + 2 * problem.dim
     best_partial = None
     for s in range(n_starts):
         d0 = warm_dev.copy()

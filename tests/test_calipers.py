@@ -115,8 +115,9 @@ def test_sweep_matches_pairwise_diameter_on_point_sets(points):
 
 def test_b_family_builds_and_measures_at_2_to_15():
     n = 2 ** 15
-    report = measure(b_family(n))
-    assert report.convex
+    poly = b_family(n)
+    report = measure(poly)
+    assert is_convex(poly)
     assert len(report.diameter_edges) == n
     assert abs(report.width - closed_form("b", n)[1]) <= 1e-12
 

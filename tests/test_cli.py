@@ -172,19 +172,6 @@ def test_table_t4_exits_1_where_the_bound_gap_is_below_one_ulp(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("table,label,gap", [
-    ("2", "ub_W - W_R+", bounds.gap_constants("regular-plus-width", 2 ** 20) / 2 ** 60),
-    # ub_w(n) - ub_w(n-1) = 4.5415019368e-19 at n = 2^20 (mpmath, 60 digits)
-    ("3", "ub_w(n) - ub_w(n-1)", 4.5415019368e-19),
-], ids=["T2", "T3"])
-def test_table_t2_t3_exit_1_where_the_ratio_denominator_rounds_to_0(capsys, table, label, gap):
-    code, out, err = run(capsys, "table", "--id", table, "--n", "1048576")
-    assert code == EXIT_CHECK
-    assert out == "" and "Traceback" not in err
-    assert err == (f"error: T{table} ratio at n=1048576 is not computable in binary64: "
-                   f"{label} = {gap:.3g} rounds to 0.0\n")
-
-
 def test_table_t5_t6_angle_rows(capsys):
     code, out, _ = run(capsys, "table", "--id", "5", "--n", "8")
     assert code == EXIT_OK
@@ -262,9 +249,18 @@ def test_optimize_command_emits_report(capsys):
 
 def test_optimize_with_config(capsys):
     code, out, _ = run(capsys, "optimize", "--problem", "b", "--n", "8",
-                       "--config", '{"starts": 1}')
+                       "--config", '{"max_outer": 30}')
     assert code == EXIT_OK
     assert json.loads(out)["starts_used"] == 1
+    code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8",
+                         "--config", '{"starts": 5}')
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: unknown solver config keys: ['starts']\n"
+    code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8",
+                         "--config", '{"tol_eq": 0, "tol_kkt": 0}')
+    assert code == EXIT_CHECK and out == "" and err.count("\n") == 1
+    assert err.startswith("error: no certified maximum for family 'b', n=8: ")
+    assert "KKT residual" in err and "> tol_kkt 0" in err
     code, _, _ = run(capsys, "optimize", "--problem", "b", "--n", "7")
     assert code == EXIT_USAGE
 
@@ -282,7 +278,7 @@ def test_optimize_rejects_bad_config_as_usage_error(capsys, config):
 
 def test_optimize_reads_config_file(tmp_path, capsys):
     path = tmp_path / "solver.json"
-    path.write_text('{"starts": 2, "max_outer": 10}')
+    path.write_text('{"max_outer": 10}')
     code, out, _ = run(capsys, "optimize", "--problem", "q", "--n", "8",
                        "--config", str(path))
     assert code == EXIT_OK

@@ -111,7 +111,7 @@ def test_reuleaux_subdivision_examples():
 def test_tamvakis_examples():
     assert perimeter(tamvakis(8)) == pytest.approx(3.1190543124, abs=5e-11)
     assert width(tamvakis(32)) == pytest.approx(math.cos(math.pi / 60), abs=1e-12)
-    assert len(tamvakis(4).vertices) == 4
+    assert tamvakis(4).xy.shape == (4, 2)
     with pytest.raises(ValueError):
         tamvakis(12)
 
@@ -220,7 +220,7 @@ def test_all_constructions_are_valid_small_polygons(family, n_values):
         poly = _build(family, n)
         assert small_polygon_violations(poly) == []
         assert poly.n == n
-        assert poly.vertices[0].x == 0.0 and poly.vertices[0].y == 0.0
+        assert poly.xy[0].tolist() == [0.0, 0.0]
 
 
 def test_from_angles_b_definitional_round_trip():

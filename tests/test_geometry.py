@@ -13,7 +13,6 @@ from smallpoly import (
     InvalidPolygonError,
     MetricsReport,
     NonConvexError,
-    Point2,
     SmallPolygon,
     area,
     b_family,
@@ -45,9 +44,9 @@ CHEVRON = SmallPolygon.from_coords([(0, 0), (1, 0), (0.5, 0.2), (0.5, 1)])
 
 def test_point_rejects_non_finite():
     with pytest.raises(InvalidPolygonError):
-        Point2(float("nan"), 0.0)
+        SmallPolygon.from_coords([(float("nan"), 0.0), (1, 0), (0, 1)])
     with pytest.raises(InvalidPolygonError):
-        Point2(0.0, float("inf"))
+        SmallPolygon.from_coords([(0, 0), (0.0, float("inf")), (0, 1)])
 
 
 def test_polygon_needs_three_vertices():
@@ -121,7 +120,7 @@ def test_is_convex():
 def test_to_unit_perimeter_square():
     scaled = to_unit_perimeter(UNIT_SQUARE)
     assert perimeter(scaled) == pytest.approx(1.0, abs=1e-12)
-    assert scaled.vertices[1].x == pytest.approx(0.25, abs=1e-15)
+    assert scaled.xy[1, 0] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_to_unit_perimeter_b8_width():
@@ -195,15 +194,16 @@ def test_json_rejects_malformed_documents():
 def test_measure_report_fields():
     rep = measure(SQUARE)
     assert isinstance(rep, MetricsReport)
-    assert rep.convex
     assert rep.diameter == pytest.approx(1.0, abs=1e-15)
     assert rep.width <= rep.diameter
     assert rep.perimeter > 2 * rep.diameter
     assert rep.area > 0
     assert set(rep.diameter_edges) == {(0, 2), (1, 3)}
     doc = rep.to_json_dict()
-    assert doc["convex"] is True
+    assert list(doc) == ["perimeter", "width", "diameter", "area", "diameter_edges"]
     assert doc["diameter_edges"] == [[0, 2], [1, 3]]
+    with pytest.raises(NonConvexError):  # only convex polygons get a report
+        measure(CHEVRON)
 
 
 @pytest.mark.parametrize("coords", [
@@ -234,11 +234,11 @@ def test_stored_coordinates_are_read_only_and_owned():
     assert poly.xy.dtype == np.float64 and poly.xy[0, 0] == 0.0
 
 
-def test_vertices_are_a_point2_tuple():
+def test_vertices_are_an_n_by_2_float_array():
     poly = q_family(8)
-    assert isinstance(poly.vertices, tuple)
-    assert all(isinstance(v, Point2) for v in poly.vertices)
-    assert [[v.x, v.y] for v in poly.vertices] == poly.xy.tolist()
+    assert isinstance(poly.xy, np.ndarray)
+    assert poly.xy.shape == (8, 2) and poly.xy.dtype == np.float64
+    assert poly.coords().tolist() == poly.xy.tolist()
 
 
 @pytest.mark.parametrize("vertices", [

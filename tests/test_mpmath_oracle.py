@@ -11,7 +11,11 @@ Closed forms and gap laws: every closed form, and every scaled gap
 n^p (bound - value) of ``GAP_LAWS``, evaluated from its definition at 50
 digits (the alternation offsets in their direct arcsin form, the Tamvakis
 perimeter as a chord sum over its three arcs), must match ``bounds`` to a
-relative 2e-15 at every power of two n = 4 .. 2^16 where it is defined.
+relative 2e-15 at every power of two n = 4 .. 2^16 where it is defined; so
+must ``bounds.ubw_step``, the step ub_w(n) - ub_w(n-1).  The T2 and T3
+ratios that ``table`` prints must be their 50-digit values rounded to four
+decimals (within 5e-5) at n = 2^16 .. 2^20, where the denominators are a few
+dozen ulps of the bounds or less.
 """
 
 import sys
@@ -27,6 +31,8 @@ from smallpoly import (
     gap_constants,
     solve,
 )
+from smallpoly.bounds import ubw_step
+from smallpoly.cli import EXIT_OK, main
 
 mp = pytest.importorskip("mpmath")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -125,3 +131,33 @@ def test_every_gap_law_matches_its_50_digit_difference(law):
         for n in POWERS:
             if n >= LEAST_N.get(family, 4):
                 _assert_close(gap_constants(law, n), mp_scaled_gap(law, n))
+
+
+def mp_ubw(n):
+    return mp.cot(mp.pi / (2 * n)) / (2 * n)
+
+
+def test_ubw_step_matches_its_50_digit_difference():
+    with mp.workdps(50):
+        for n in (5, 7, 9, 1023) + POWERS + (2 ** 20,):
+            _assert_close(ubw_step(n), mp_ubw(n) - mp_ubw(n - 1))
+
+
+def mp_table_ratio(table, n):
+    """The ratio column of T2 or T3 at the working precision."""
+    if table == "T2":
+        wrp, wb = mp_closed_form("regular-plus", n)[1], mp_closed_form("b", n)[1]
+        return (wb - wrp) / (mp.cos(mp.pi / (2 * n)) - wrp)
+    prev, wbh = mp_ubw(n - 1), mp_closed_form("b-hat", n)[1]
+    return (wbh - prev) / (mp_ubw(n) - prev)
+
+
+@pytest.mark.parametrize("table", ["T2", "T3"])
+def test_table_t2_t3_ratios_match_50_digit_values_at_large_n(capsys, table):
+    ns = (2 ** 16, 2 ** 17, 2 ** 20)
+    assert main(["table", "--id", table[1], "--n", ",".join(map(str, ns))]) == EXIT_OK
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(ns)
+    with mp.workdps(50):
+        for n, row in zip(ns, rows):
+            assert abs(mp.mpf(row[-1]) - mp_table_ratio(table, n)) <= 5e-5, (n, row[-1])

@@ -203,23 +203,21 @@ def test_solve_is_deterministic():
     a = solve(build_q_problem(16))
     b = solve(build_q_problem(16))
     assert a == b  # bit-identical dataclasses
-    cfg = SolverConfig(starts=3)
+    cfg = SolverConfig(max_outer=3)
     assert solve(build_q_problem(16), cfg) == solve(build_q_problem(16), cfg)
 
 
 def test_impossible_tolerances_raise_non_convergence():
-    cfg = SolverConfig(starts=2, tol_eq=0.0, tol_kkt=0.0)
+    cfg = SolverConfig(tol_eq=0.0, tol_kkt=0.0)
     with pytest.raises(NonConvergenceError) as err:
         solve(build_b_problem(8), cfg)
-    assert err.value.report.objective > 3.12  # best partial attempt attached
-
-
-def test_fallback_starts_run_only_until_one_converges():
-    assert solve(build_b_problem(8), SolverConfig(starts=5)).starts_used == 1
-    cfg = SolverConfig(starts=3, tol_eq=0.0, tol_kkt=0.0)
-    with pytest.raises(NonConvergenceError) as err:
-        solve(build_q_problem(8), cfg)
-    assert err.value.report.starts_used == 3
+    report = err.value.report
+    assert report.objective > 3.12  # the solve's report is attached
+    assert report.starts_used == 1 and not report.converged
+    eq = max(abs(r) for r in report.eq_residuals)
+    assert str(err.value) == (
+        "no certified maximum for family 'b', n=8: "
+        f"eq residual {eq:.2g} > tol_eq 0; KKT residual {report.kkt_residual:.2g} > tol_kkt 0")
 
 
 @pytest.mark.parametrize("builder,n", [
@@ -253,21 +251,27 @@ def test_certificate_rejects_a_minimum(builder, n):
     problem = builder(n)
     optimum = np.array(solve(problem).angles)
     at_optimum = dataclasses.replace(problem, warm_start=optimum)
-    assert solve(at_optimum, SolverConfig(starts=1)).converged
+    assert solve(at_optimum).converged
     with pytest.raises(NonConvergenceError) as err:
-        solve(_negated(at_optimum), SolverConfig(starts=1))
+        solve(_negated(at_optimum))
     report = err.value.report
     assert max(abs(r) for r in report.eq_residuals) <= 1e-11
     assert report.kkt_residual <= 1e-9
     assert not report.converged
+    assert str(err.value) == (f"no certified maximum for family {problem.family!r}, "
+                              f"n={n}: reduced Hessian not negative definite")
 
 
 def test_solver_config_from_json():
-    cfg = SolverConfig.from_json('{"max_outer": 5, "starts": 2}')
-    assert cfg.max_outer == 5 and cfg.starts == 2
+    cfg = SolverConfig.from_json('{"max_outer": 5, "tol_kkt": 1e-8}')
+    assert cfg.max_outer == 5 and cfg.tol_kkt == 1e-8
     assert cfg.tol_eq == 1e-11
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_outer", "tol_eq",
+                                                                  "tol_kkt"]
     with pytest.raises(ValueError):
         SolverConfig.from_json('{"bogus": 1}')
+    with pytest.raises(ValueError, match=r"^unknown solver config keys: \['starts'\]$"):
+        SolverConfig.from_json('{"starts": 5}')
 
 
 @pytest.mark.parametrize("text", [
@@ -390,6 +394,41 @@ def test_large_default_solve_is_certified_from_the_first_start(builder, n):
 def test_solve_report_equals_the_block_kkt_reference(builder, n):
     problem = builder(n)
     assert repr(solve(problem)) == repr(block_kkt_solve(problem))
+
+
+def _counting_objective(problem, calls):
+    def objective(d):
+        calls.append(None)
+        return problem.objective(d)
+    return dataclasses.replace(problem, objective=objective)
+
+
+@pytest.mark.parametrize("builder,n,config", [
+    *((build_b_problem, 2 ** s, SolverConfig(max_outer=m))
+      for s in range(3, 9) for m in (1, 2, 3, 20)),
+    *((build_q_problem, 2 ** s, SolverConfig(max_outer=m))
+      for s in range(2, 8) for m in (1, 2, 3, 20)),
+    (build_b_problem, 8, SolverConfig(tol_eq=0.0, tol_kkt=0.0)),
+    (build_q_problem, 8, SolverConfig(tol_eq=0.0, tol_kkt=0.0)),
+])
+def test_one_start_converges_exactly_when_the_multi_start_reference_does(builder, n, config):
+    # The reference runs up to 1 + 2 * dim perturbed starts while none has
+    # converged; a start after the first never succeeds where the first failed.
+    problem = builder(n)
+    warm = np.clip(problem.warm_start - problem.base_angle,
+                   -problem.base_angle, problem.upper - problem.base_angle)
+    reference = block_kkt_solve(problem, config)
+    ref_ok = reference.converged and reference.objective >= problem.objective(warm)[0]
+    calls = []
+    try:
+        report = solve(_counting_objective(problem, calls), config)
+    except NonConvergenceError as err:
+        report = None
+        assert err.report.starts_used == 1
+    assert (report is not None) == ref_ok
+    if ref_ok:
+        assert repr(report) == repr(reference)
+    assert len(calls) <= config.max_outer + 2  # the warm start, then one per iterate
 
 
 def _certificate_points():
