@@ -19,7 +19,6 @@ import numpy as np
 from . import bounds
 from .constructions import (
     b_family,
-    diameter_cycle,
     extract_angles_b,
     extract_angles_q,
     from_angles_b,
@@ -36,6 +35,8 @@ from .geometry import (
     SmallPolygon,
     _json17,
     area,
+    diameter,
+    diameter_cycle,
     measure,
     perimeter,
     polygon_from_json,
@@ -175,7 +176,7 @@ def render_svg(p: SmallPolygon) -> str:
     try:
         # every pixel coordinate is at most w or h, so only these can overflow
         with np.errstate(over="raise"):
-            edges = p._diameter[1]
+            edges = diameter(p)[1]
             xmin, ymin = coords.min(axis=0) - pad
             xmax, ymax = coords.max(axis=0) + pad
             w = (xmax - xmin) * SVG_SCALE
@@ -304,16 +305,6 @@ def _mirror_distance(coords: np.ndarray) -> float:
     return float(np.max(np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])))
 
 
-def _graph_structure(p: SmallPolygon) -> tuple[int, int]:
-    """(cycle length, pendant count) of the diameter graph of a b or q polygon.
-
-    Raises ValueError when the graph is not a single cycle through the
-    origin vertex plus pendants.
-    """
-    cycle, pendants, _ = diameter_cycle(p)
-    return len(cycle) - 1, len(pendants)
-
-
 def _pendant_line_miss(p: SmallPolygon, point: tuple[float, float]) -> float:
     """Largest distance from `point` to any pendant edge's supporting line."""
     _, pendants, _ = diameter_cycle(p)
@@ -422,7 +413,8 @@ def _area_ok(p: SmallPolygon, n: int) -> tuple[bool, str]:
 
 
 def _structure_ok(p: SmallPolygon, expected: tuple[int, int]) -> tuple[bool, str]:
-    got = _graph_structure(p)
+    cycle, pendants, _ = diameter_cycle(p)  # raises unless one cycle plus pendants
+    got = (len(cycle) - 1, len(pendants))
     return got == expected, f"got {got}"
 
 
@@ -435,7 +427,7 @@ def _gap_ok(law: str, limit: float) -> tuple[bool, str]:
 def _scaling_ok(p: SmallPolygon) -> tuple[bool, str]:
     scaled = to_unit_perimeter(p)
     wr = width(scaled) / width(p)
-    dr = scaled._diameter[0] / p._diameter[0]
+    dr = diameter(scaled)[0] / diameter(p)[0]
     ok = (abs(perimeter(scaled) - 1.0) <= 1e-12
           and abs(wr / dr - 1.0) <= 1e-12)
     return ok, f"width ratio {wr!r} vs diameter ratio {dr!r}"
@@ -617,14 +609,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NonConvergenceError as exc:
+    except (InvalidPolygonError, NonConvexError, NonConvergenceError, CertificationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except (InvalidPolygonError, NonConvexError, CertificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's failed allocations included
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CHECK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,9 +19,8 @@ Both are one walk: the right half-cycle runs from the origin in unit steps
 closure condition alike; slices place the pendants, apex and mirror half.
 `from_angles_b` / `from_angles_q` rebuild polygons from raw angle sequences
 (the bridge used by the optimizer) and `extract_angles_b` / `extract_angles_q`
-invert them, measuring every turn along the diameter cycle in one pass.
-:func:`diameter_cycle` reads that cycle off the edge array at a fixed stride
-(any two diameters meet, by Hopf and Pannwitz), with no graph walk.
+invert them, measuring every turn along the diameter cycle that
+:func:`smallpoly.geometry.diameter_cycle` caches on the polygon, in one pass.
 """
 
 from __future__ import annotations
@@ -36,7 +35,9 @@ from .bounds import b_alternation, is_power_of_two, q_alternation
 from .geometry import (
     Family,
     SmallPolygon,
-    _shift,
+    _boundary_order,
+    diameter,
+    diameter_cycle,
     small_polygon_violations,
     validate_small_polygon,
 )
@@ -59,16 +60,6 @@ class InfeasibleAnglesError(ValueError):
         super().__init__(message)
         self.angle_sum_residual = angle_sum_residual
         self.closure_residual = closure_residual
-
-
-def _boundary_order(xy: np.ndarray) -> np.ndarray:
-    """Indices of points in convex position in CCW order, starting from the
-    point nearest the origin; the order does not depend on the row order."""
-    cx = math.fsum(xy[:, 0].tolist()) / len(xy)
-    cy = math.fsum(xy[:, 1].tolist()) / len(xy)
-    order = np.argsort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx), kind="stable")
-    first = int(np.argmin(np.hypot(xy[order, 0], xy[order, 1])))
-    return _shift(order, first)
 
 
 def _polygon(verts, family, params) -> SmallPolygon:
@@ -355,7 +346,7 @@ def _from_angles(param: _AngleParam, vertices, variant: str) -> SmallPolygon:
                     if not v.startswith("diameter")]
         if problems:
             raise InfeasibleAnglesError("; ".join(problems))
-        if poly._diameter[0] > 1.0 + 8 * ROUNDED_TOL:
+        if diameter(poly)[0] > 1.0 + 8 * ROUNDED_TOL:
             raise InfeasibleAnglesError("diameter drifted too far from one")
     return poly
 
@@ -401,43 +392,6 @@ def q_family(n: int) -> SmallPolygon:
 # ---------------------------------------------------------------------------
 # Angle extraction (inverse of the recursions, via the diameter graph)
 # ---------------------------------------------------------------------------
-
-
-def diameter_cycle(p: SmallPolygon) -> tuple[np.ndarray, np.ndarray, int]:
-    """The diameter graph of a b or q polygon as (cycle, pendant edges, apex).
-
-    ``cycle`` lists v_0 .. v_0 of the one cycle, from the origin vertex toward
-    positive x; the (P, 2) pendant edges have an end of degree one; ``apex``
-    ends the origin's pendant.  Any two diameters of a planar point set meet
-    (Hopf and Pannwitz), so an odd cycle of m diameters visits the CCW-ordered
-    vertices of degree >= 2 at stride (m -+ 1)/2; every stride pair is then
-    looked up among the edges.  Raises ValueError unless the graph is one
-    cycle through the origin vertex plus pendants, exactly one at the origin.
-    """
-    xy, n = p.xy, p.n
-    edges = p._diameter[1]
-    degree = np.bincount(edges.ravel(), minlength=n)
-    origin = int(np.argmin(np.hypot(xy[:, 0], xy[:, 1])))
-    if math.hypot(*xy[origin]) > 1e-9:
-        raise ValueError("polygon has no vertex at the origin")
-    ring = np.flatnonzero(degree >= 2)
-    if degree[origin] < 2 or len(ring) < 3:
-        raise ValueError("origin vertex must lie on the diameter cycle")
-    ring = ring[_boundary_order(xy[ring])]
-    m = len(ring)
-    stride = (m - 1) // 2
-    if xy[ring[m - stride], 0] > xy[ring[stride], 0]:
-        stride = m - stride
-    cycle = ring[np.arange(m + 1) * stride % m]
-    steps = np.sort(np.column_stack((cycle[:-1], cycle[1:])), axis=1)
-    core = np.all(degree[edges] >= 2, axis=1)
-    if not np.array_equal(np.sort(steps @ (n, 1)), np.sort(edges[core] @ (n, 1))):
-        raise ValueError("diameter graph is not a simple cycle with pendants")
-    pendants = edges[~core]
-    at_origin = pendants[np.any(pendants == origin, axis=1)]
-    if len(at_origin) != 1:
-        raise ValueError("origin vertex must carry exactly one pendant edge")
-    return cycle, pendants, int(at_origin.sum()) - origin  # the pendant's other end
 
 
 def _cycle_turns(p: SmallPolygon, count: int) -> np.ndarray:

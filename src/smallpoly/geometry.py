@@ -7,8 +7,8 @@ None of it knows about closed forms, so it can serve as an independent
 cross-check for the analytic expressions in :mod:`smallpoly.bounds`.
 
 All operations are pure functions of immutable values and are safe to call
-concurrently; what a polygon caches (convexity, antipodes, width, sweep) is
-deterministic, so a race can at most compute one value twice.
+concurrently; what a polygon caches (convexity, antipodes, width, sweep,
+cycle) is deterministic, so a race can at most compute one value twice.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ class SmallPolygon:
     invariants (strict convexity, diameter one, first vertex at the origin)
     are guaranteed by the constructors in :mod:`smallpoly.constructions` and
     can be re-checked with :func:`small_polygon_violations`.  The convexity
-    test, the antipode search of a convex polygon, its width and the diameter
-    sweep run at most once per polygon and are cached on it; the width and
-    the sweep share the antipodes.
+    test, the antipode search of a convex polygon, its width, the diameter
+    sweep and the diameter cycle run at most once per polygon and are cached
+    on it; the width and the sweep share the antipodes.
     """
 
     xy: np.ndarray
@@ -126,6 +126,10 @@ class SmallPolygon:
         hull = _hull(self.xy)
         return _sweep(self.xy, hull, _antipodes(self.xy[hull]))
 
+    @cached_property
+    def _cycle(self) -> tuple[np.ndarray, np.ndarray, int]:
+        return _stride_cycle(self.xy, diameter(self)[1])
+
     @classmethod
     def from_coords(
         cls,
@@ -138,15 +142,16 @@ class SmallPolygon:
         return cls(coords, family, dict(params or {}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsReport:
-    """Perimeter, width, diameter, area and diameter-graph edges of a convex polygon."""
+    """Perimeter, width, diameter, area and diameter-graph edges of a convex
+    polygon; ``diameter_edges`` is the edge array that :func:`diameter` caches."""
 
     perimeter: float
     width: float
     diameter: float
     area: float
-    diameter_edges: tuple[tuple[int, int], ...]
+    diameter_edges: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -154,7 +159,7 @@ class MetricsReport:
             "width": self.width,
             "diameter": self.diameter,
             "area": self.area,
-            "diameter_edges": [list(e) for e in self.diameter_edges],
+            "diameter_edges": self.diameter_edges.tolist(),
         }
 
 
@@ -250,18 +255,16 @@ def _hull(coords: np.ndarray) -> np.ndarray:
     return np.array(hull)
 
 
-def diameter(p: SmallPolygon) -> tuple[float, tuple[tuple[int, int], ...]]:
+def diameter(p: SmallPolygon) -> tuple[float, np.ndarray]:
     """Largest pairwise vertex distance and all pairs achieving it.
 
-    Returns ``(d, edges)`` where ``edges`` lists every index pair whose
-    distance is within ``DIAMETER_TOL`` of ``d`` -- the diameter-graph edge
-    set of the polygon.  Only antipodal pairs of the convex hull's vertices
-    are measured, which holds every diameter of any vertex set.  The sweep
-    runs once per polygon and caches the edges as an int array; each call
-    builds the tuples from it.
+    Returns ``(d, edges)``: the read-only (E, 2) intp array ``edges`` holds,
+    in ascending order, every index pair ``i < j`` within ``DIAMETER_TOL``
+    of ``d`` -- the diameter graph.  Only antipodal pairs of the convex
+    hull's vertices are measured, which holds every diameter of any vertex
+    set.  The sweep runs once per polygon; each call returns the cached pair.
     """
-    d, edges = p._diameter
-    return d, tuple(zip(*edges.T.tolist()))
+    return p._diameter
 
 
 def _sweep(coords: np.ndarray, hull: np.ndarray, far: np.ndarray) -> tuple[float, np.ndarray]:
@@ -289,6 +292,59 @@ def _sweep(coords: np.ndarray, hull: np.ndarray, far: np.ndarray) -> tuple[float
     return dmax, edges
 
 
+def _boundary_order(xy: np.ndarray) -> np.ndarray:
+    """Indices of points in convex position in CCW order, starting from the
+    point nearest the origin; the order does not depend on the row order."""
+    cx = math.fsum(xy[:, 0].tolist()) / len(xy)
+    cy = math.fsum(xy[:, 1].tolist()) / len(xy)
+    order = np.argsort(np.arctan2(xy[:, 1] - cy, xy[:, 0] - cx), kind="stable")
+    first = int(np.argmin(np.hypot(xy[order, 0], xy[order, 1])))
+    return _shift(order, first)
+
+
+def diameter_cycle(p: SmallPolygon) -> tuple[np.ndarray, np.ndarray, int]:
+    """The diameter graph of a b or q polygon as (cycle, pendant edges, apex).
+
+    ``cycle`` lists v_0 .. v_0 of the one cycle, from the origin vertex toward
+    positive x; the (P, 2) pendant edges have an end of degree one; ``apex``
+    ends the origin's pendant.  Any two diameters of a planar point set meet
+    (Hopf and Pannwitz), so an odd cycle of m diameters visits the CCW-ordered
+    vertices of degree >= 2 at stride (m -+ 1)/2; every stride pair is then
+    looked up among the edges.  Cached on the polygon, with read-only arrays.
+    Raises ValueError, on every call, unless the graph is one cycle through
+    the origin vertex plus pendants, exactly one at the origin.
+    """
+    return p._cycle
+
+
+def _stride_cycle(xy: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`diameter_cycle` of the points ``xy`` with diameter ``edges``."""
+    n = len(xy)
+    degree = np.bincount(edges.ravel(), minlength=n)
+    origin = int(np.argmin(np.hypot(xy[:, 0], xy[:, 1])))
+    if math.hypot(*xy[origin]) > 1e-9:
+        raise ValueError("polygon has no vertex at the origin")
+    ring = np.flatnonzero(degree >= 2)
+    if degree[origin] < 2 or len(ring) < 3:
+        raise ValueError("origin vertex must lie on the diameter cycle")
+    ring = ring[_boundary_order(xy[ring])]
+    m = len(ring)
+    stride = (m - 1) // 2
+    if xy[ring[m - stride], 0] > xy[ring[stride], 0]:
+        stride = m - stride
+    cycle = ring[np.arange(m + 1) * stride % m]
+    steps = np.sort(np.column_stack((cycle[:-1], cycle[1:])), axis=1)
+    core = np.all(degree[edges] >= 2, axis=1)
+    if not np.array_equal(np.sort(steps @ (n, 1)), np.sort(edges[core] @ (n, 1))):
+        raise ValueError("diameter graph is not a simple cycle with pendants")
+    pendants = edges[~core]
+    at_origin = pendants[np.any(pendants == origin, axis=1)]
+    if len(at_origin) != 1:
+        raise ValueError("origin vertex must carry exactly one pendant edge")
+    cycle.flags.writeable = pendants.flags.writeable = False
+    return cycle, pendants, int(at_origin.sum()) - origin  # the pendant's other end
+
+
 def area(p: SmallPolygon) -> float:
     """Shoelace area; positive for simple CCW polygons."""
     x, y = p.xy.T
@@ -311,7 +367,7 @@ def to_unit_perimeter(p: SmallPolygon) -> SmallPolygon:
 
 
 def measure(p: SmallPolygon) -> MetricsReport:
-    """Compute the full metrics report for a convex polygon.
+    """The metrics report of a convex polygon, around its cached edge array.
 
     Raises :class:`NonConvexError` (from :func:`width`) on non-convex input
     and :class:`InvalidPolygonError` when a metric overflows binary64.
@@ -340,7 +396,7 @@ def small_polygon_violations(p: SmallPolygon) -> list[str]:
     problems = []
     if not is_convex(p):
         problems.append("not strictly convex in CCW order")
-    d = p._diameter[0]
+    d = diameter(p)[0]
     if d > 1.0 + DIAMETER_TOL:
         problems.append(f"diameter {d!r} exceeds 1 + {DIAMETER_TOL}")
     x0, y0 = p.xy[0].tolist()

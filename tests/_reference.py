@@ -15,7 +15,7 @@ in ``smallpoly.cli._mirror_distance``.
 ``loop_q_closure_hessian`` accumulate the closure-constraint derivatives of
 the optimizer's problems one term (one dense outer product) at a time, the
 oracle for the suffix sums in ``smallpoly.optimizer``.  ``atan2_boundary_order`` is the per-vertex sort
-oracle for ``smallpoly.constructions._boundary_order``.
+oracle for ``smallpoly.geometry._boundary_order``.
 
 ``loop_b_vertices`` and ``loop_q_vertices`` walk the two diameter-graph
 families one vertex at a time into a dict, and ``loop_extract_angles_b`` /
@@ -26,7 +26,7 @@ per-vertex oracles for the regular polygon and the subdivided Reuleaux arcs.
 
 ``diameter_graph`` (adjacency lists) and ``cycle_walk`` (one vertex at a
 time along them) are the oracle for the stride order of
-``smallpoly.constructions.diameter_cycle``.
+``smallpoly.geometry.diameter_cycle``.
 
 ``row_polygon_to_json`` formats the vertices one row at a time and
 ``loop_render_svg`` one line per edge with a per-point pixel map: the
@@ -329,7 +329,7 @@ def loop_q_vertices(n, alphas):
 def diameter_graph(p):
     """Adjacency lists of the diameter graph; vertex i has degree ``len(adj[i])``."""
     adj = {i: [] for i in range(p.n)}
-    for i, j in diameter(p)[1]:
+    for i, j in diameter(p)[1].tolist():
         adj[i].append(j)
         adj[j].append(i)
     return adj

@@ -27,7 +27,7 @@ from smallpoly import (
     width,
 )
 from smallpoly import area, diameter
-from smallpoly.cli import _graph_structure
+from smallpoly.geometry import diameter_cycle
 
 from _reference import (
     OPTIMAL_ANGLES_B,
@@ -214,6 +214,12 @@ def test_criterion_9_exact_identities():
     assert abs(perimeter(q_family(4)) - l4) <= 1e-12
     _report("criterion 9: surd identities for the 8-gon width and 4-gon "
             "perimeter", True)
+
+
+def _graph_structure(poly):
+    """(cycle length, pendant count) of a b or q polygon's diameter graph."""
+    cycle, pendants, _ = diameter_cycle(poly)
+    return len(cycle) - 1, len(pendants)
 
 
 def test_criterion_10_diameter_graph_structure():

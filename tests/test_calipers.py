@@ -21,7 +21,7 @@ from smallpoly import (
     regular,
     width,
 )
-from smallpoly.cli import _graph_structure, build_polygon
+from smallpoly.cli import build_polygon
 from smallpoly.constructions import diameter_cycle
 from smallpoly.geometry import _antipodes, _hull, _support_width, _sweep
 
@@ -42,10 +42,17 @@ FAMILY_CASES = (
 )
 
 
+def assert_same_graph(got, oracle):
+    """``diameter``'s (d, edge array) is an oracle's (d, index pairs), exactly."""
+    (d, edges), (want_d, want_edges) = got, oracle
+    assert d == want_d
+    assert edges.tolist() == [list(e) for e in want_edges]
+
+
 @pytest.mark.parametrize("family,n,m", FAMILY_CASES)
 def test_sweep_matches_pairwise_oracle_on_families(family, n, m):
     poly = build_polygon(family, n, m)
-    assert diameter(poly) == pairwise_diameter(poly)
+    assert_same_graph(diameter(poly), pairwise_diameter(poly))
     assert width(poly) == pairwise_width(poly)
 
 
@@ -66,7 +73,7 @@ def test_even_regular_antipode_ties_keep_width_and_diameter(n):
     d_unwrapped, edges_unwrapped = _sweep(poly.xy, everything, unwrapped)
     assert d == d_unwrapped and np.array_equal(edges, edges_unwrapped)
     assert len(edges) == n // 2
-    assert diameter(poly) == pairwise_diameter(poly)
+    assert_same_graph(diameter(poly), pairwise_diameter(poly))
     assert width(poly) == pairwise_width(poly)
 
 
@@ -98,7 +105,7 @@ def convex_polygons(draw):
 @given(convex_polygons())
 def test_sweep_matches_pairwise_oracle_on_convex_polygons(poly):
     assert is_convex(poly)
-    assert diameter(poly) == pairwise_diameter(poly)
+    assert_same_graph(diameter(poly), pairwise_diameter(poly))
     assert width(poly) == pairwise_width(poly)
 
 
@@ -107,7 +114,7 @@ def test_sweep_matches_pairwise_oracle_on_convex_polygons(poly):
 def test_sweep_matches_pairwise_diameter_on_point_sets(points):
     poly = SmallPolygon.from_coords(points)
     if is_convex(poly):
-        assert diameter(poly) == pairwise_diameter(poly)
+        assert_same_graph(diameter(poly), pairwise_diameter(poly))
         assert width(poly) == pairwise_width(poly)
     else:
         assert diameter(poly)[0] == pairwise_diameter(poly)[0]
@@ -168,16 +175,17 @@ ORIGIN_STAR = SmallPolygon.from_coords([(0, 0), (0.3, math.sqrt(0.91)), (-0.3, m
 
 @pytest.mark.parametrize("poly", [regular(7), regular(8), ORIGIN_STAR],
                          ids=["7-cycle", "4-diameters", "origin-star"])
-def test_graph_structure_rejects_graphs_without_an_origin_pendant(poly):
-    with pytest.raises(ValueError):
-        _graph_structure(poly)
+def test_diameter_cycle_rejects_graphs_without_an_origin_pendant(poly):
+    for _ in range(2):  # nothing is cached on failure: every call raises
+        with pytest.raises(ValueError):
+            diameter_cycle(poly)
 
 
 def _chain_sweep(poly):
     """The diameter through Andrew's monotone chain, as for non-convex input."""
     hull = _hull(poly.xy)
     d, edges = _sweep(poly.xy, hull, _antipodes(poly.xy[hull]))
-    return d, tuple(map(tuple, edges.tolist()))
+    return d, edges.tolist()
 
 
 @pytest.mark.parametrize("family,n,m", FAMILY_CASES)
@@ -191,29 +199,39 @@ def test_convex_fast_path_matches_monotone_chain_on_families(family, n, m, monke
     monkeypatch.setattr(geometry, "_hull", no_hull)
     fast = diameter(fresh)
     monkeypatch.undo()
-    assert fast == _chain_sweep(poly)
+    assert_same_graph(fast, _chain_sweep(poly))
 
 
 @settings(max_examples=300, deadline=None)
 @given(convex_polygons())
 def test_convex_fast_path_matches_monotone_chain_on_convex_polygons(poly):
     assert is_convex(poly)
-    assert diameter(poly) == _chain_sweep(poly)
+    assert_same_graph(diameter(poly), _chain_sweep(poly))
 
 
 @pytest.mark.parametrize("family,n,m", FAMILY_CASES)
 def test_cached_edge_array_is_read_only(family, n, m):
-    edges = build_polygon(family, n, m)._diameter[1]
+    edges = diameter(build_polygon(family, n, m))[1]
     assert edges.dtype == np.intp and edges.ndim == 2 and edges.shape[1] == 2
     assert not edges.flags.writeable
     with pytest.raises(ValueError):
         edges[0, 0] = 0
 
 
+@pytest.mark.parametrize("family,n", [("b", 8), ("b", 64), ("q", 4), ("q", 64)])
+def test_cached_cycle_arrays_are_read_only(family, n):
+    poly = build_polygon(family, n)
+    cycle, pendants, _ = diameter_cycle(poly)
+    assert diameter_cycle(poly)[0] is cycle and diameter_cycle(poly)[1] is pendants
+    for cached in (cycle, pendants):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 0
+
+
 @pytest.mark.parametrize("family,n,m", FAMILY_CASES)
-def test_diameter_edges_are_the_tuples_of_the_cached_rows(family, n, m):
+def test_diameter_returns_the_same_cached_array_on_every_call(family, n, m):
     poly = build_polygon(family, n, m)
     d, edges = diameter(poly)
-    assert d == poly._diameter[0]
-    assert edges == tuple(map(tuple, poly._diameter[1].tolist()))
-    assert all(type(v) is int for edge in edges for v in edge)
+    assert diameter(poly)[0] == d and diameter(poly)[1] is edges
+    assert edges.dtype == np.intp and not edges.flags.writeable

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from smallpoly import (
     InvalidPolygonError,
     SmallPolygon,
+    b_angles,
     b_family,
     bounds,
     diameter,
+    from_angles_b,
     measure,
     perimeter,
     polygon_to_json,
@@ -337,6 +339,21 @@ def test_verify_checks_build_and_evaluate_once(monkeypatch):
     assert all(ok for _, ok, _ in results)
 
 
+@pytest.mark.parametrize("exc,message", [
+    (MemoryError("Unable to allocate 16.0 TiB for an array"),
+     "Unable to allocate 16.0 TiB for an array"),
+    (MemoryError(), "out of memory")])
+def test_running_out_of_memory_prints_one_error_line(monkeypatch, capsys, exc, message):
+    import smallpoly.cli as cli
+
+    def exhausted(n, m):  # no real allocation: the builder raises at once
+        raise exc
+
+    monkeypatch.setitem(cli._BUILDERS, "regular", exhausted)
+    code, out, err = run(capsys, "build", "--family", "regular", "--n", "1099511627776")
+    assert (code, out, err) == (EXIT_CHECK, "", f"error: {message}\n")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bogus-command")[0] == EXIT_USAGE
     assert run(capsys, "build", "--family", "nope", "--n", "8")[0] == EXIT_USAGE
@@ -391,7 +408,7 @@ def test_verify_checks_search_antipodes_once_per_polygon(monkeypatch):
 
 def test_verify_checks_compute_each_polygons_geometry_once(monkeypatch):
     from smallpoly import constructions, geometry
-    calls = {name: [] for name in ("_is_convex", "_sweep", "_support_width")}
+    calls = {name: [] for name in ("_is_convex", "_sweep", "_support_width", "_stride_cycle")}
 
     def counting(name, fn):
         def counted(*args):
@@ -409,10 +426,38 @@ def test_verify_checks_compute_each_polygons_geometry_once(monkeypatch):
     results = verify_checks(1024)
     assert len(results) == 231 and all(ok for _, ok, _ in results)
     counts = {name: len(seen) for name, seen in calls.items()}
-    assert counts == {"_is_convex": 113, "_sweep": 113, "_support_width": 96}
+    assert counts == {"_is_convex": 113, "_sweep": 113, "_support_width": 96,
+                      "_stride_cycle": 17}  # one cycle per b and q polygon
     for seen in calls.values():  # one pass per polygon
         assert len({id(coords) for coords in seen}) == len(seen)
     assert unwraps == [] and len(closures) == 17
+
+
+def test_the_sweep_runs_only_inside_diameter(monkeypatch):
+    import smallpoly.cli as cli
+    from smallpoly import constructions, geometry
+    depth, depths = [0], []
+    diameter_fn, sweep = geometry.diameter, geometry._sweep
+
+    def nested(p):
+        depth[0] += 1
+        try:
+            return diameter_fn(p)
+        finally:
+            depth[0] -= 1
+
+    def recorded(*args):
+        depths.append(depth[0])
+        return sweep(*args)
+
+    for module in (geometry, constructions, cli):
+        monkeypatch.setattr(module, "diameter", nested)
+    monkeypatch.setattr(geometry, "_sweep", recorded)
+    assert all(ok for _, ok, _ in verify_checks(64))
+    measure(SmallPolygon.from_coords(b_family(16).xy))  # fresh polygons: nothing cached
+    render_svg(SmallPolygon.from_coords(q_family(8).xy))
+    from_angles_b(b_angles(16))
+    assert len(depths) > 40 and min(depths) >= 1
 
 
 @pytest.mark.parametrize("build,n_min", [(b_family, 8), (q_family, 4)], ids=["b", "q"])
@@ -600,7 +645,7 @@ def test_verify_pendant_lines_flags_a_moved_pendant_end(monkeypatch):
     dx, dy = coords[free] - coords[hub]
     coords[free] += 1e-8 * np.array([-dy, dx])  # across the unit pendant edge
     moved = SmallPolygon.from_coords(coords, poly.family, poly.params)
-    assert diameter(moved)[1] == diameter(poly)[1]
+    assert np.array_equal(diameter(moved)[1], diameter(poly)[1])
     monkeypatch.setattr(cli, "b_family", lambda n: moved if n == 16 else b_family(n))
     rows = {name: (ok, detail) for name, ok, detail in verify_checks(16)}
     assert rows["pendant-lines[b n=8]"][0]

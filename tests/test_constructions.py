@@ -31,8 +31,8 @@ from smallpoly import (
 )
 from smallpoly import area, build_b_problem, build_q_problem, closed_form, solve
 
-from smallpoly.cli import _graph_structure
 from smallpoly.constructions import _b_vertices, _q_vertices
+from smallpoly.geometry import diameter_cycle
 
 from _reference import (
     FIGURE_METRICS,
@@ -259,6 +259,12 @@ def test_extracted_angle_round_trip_q(n):
 
 ROUND_TRIPS = {"b": (extract_angles_b, from_angles_b, AngleParamB, build_b_problem),
                "q": (extract_angles_q, from_angles_q, AngleParamQ, build_q_problem)}
+
+
+def _graph_structure(poly):
+    """(cycle length, pendant count) of a b or q polygon's diameter graph."""
+    cycle, pendants, _ = diameter_cycle(poly)
+    return len(cycle) - 1, len(pendants)
 
 
 @pytest.mark.parametrize("family,n,solved", [
