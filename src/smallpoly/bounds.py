@@ -4,10 +4,10 @@ Pure scalar functions of the vertex count.  These are the analytic
 counterparts of the coordinate-level metrics in :mod:`smallpoly.geometry`;
 tests require the two routes to agree to 1e-10 on every constructed family.
 
-Family keys accepted by :func:`closed_form` and :func:`gap_constants` are the
-strings used throughout the package: ``regular``, ``regular-plus``,
-``reuleaux``, ``tamvakis``, ``b``, ``q``, plus the unit-perimeter variants
-``regular-hat`` and ``b-hat``.
+Family keys accepted by :func:`closed_form`, :func:`gap_constants` and
+:func:`require_n` are the strings used throughout the package: ``regular``,
+``regular-plus``, ``reuleaux``, ``tamvakis``, ``b``, ``q``, plus the
+unit-perimeter variants ``regular-hat`` and ``b-hat``.
 """
 
 from __future__ import annotations
@@ -29,9 +29,27 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def is_power_of_two(n: int) -> bool:
-    """True for n = 2^s, s >= 0."""
-    return n >= 1 and (n & (n - 1)) == 0
+def require_n(family: str, n: int, m: int | None = None,
+              error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless ``family`` has a member with n vertices (over m arcs).
+
+    The one statement of which vertex counts each family admits: b at
+    n = 2^s >= 8, q and tamvakis at n = 2^s >= 4, regular-plus at even
+    n >= 4, reuleaux at odd m >= 3 dividing n >= 3, every other family (and
+    ``polygon``, any n-gon) at n >= 3.
+    """
+    least = {"b": 8, "q": 4, "tamvakis": 4}.get(family)
+    if least is not None:
+        rule, ok = f"n = 2^s >= {least}", n >= least and n & (n - 1) == 0
+    elif family == "regular-plus":
+        rule, ok = "even n >= 4", n >= 4 and n % 2 == 0
+    elif family == "reuleaux":
+        rule = "odd m >= 3 dividing n >= 3"
+        ok = m is not None and m >= 3 and m % 2 == 1 and n >= 3 and n % m == 0
+    else:
+        rule, ok = "n >= 3", n >= 3
+    if not ok:
+        raise error(f"{family} needs {rule}, got n={n}" + ("" if m is None else f", m={m}"))
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +73,7 @@ class BoundSet:
 
 def upper_bounds(n: int) -> BoundSet:
     """Evaluate the perimeter/width/unit-perimeter-width upper bounds."""
-    _require(n >= 3, f"need n >= 3, got {n}")
+    require_n("polygon", n)
     half = PI / (2 * n)
     return BoundSet(n=n, ubL=2 * n * math.sin(half), ubW=math.cos(half),
                     ubw=1.0 / (2 * n * math.tan(half)))
@@ -80,7 +98,7 @@ def ubw_step(n: int) -> float:
     :func:`_xcotx_coefficient`.  Every term is positive, and each
     c_k (1/(n-1)^(2k) - 1/n^(2k)) is an exact ratio of integers rounded once.
     """
-    _require(n >= 4, f"need n >= 4, got {n}")
+    require_n("polygon", n - 1)
     total, k = 0.0, 1
     while True:
         c = _xcotx_coefficient(k)
@@ -135,21 +153,12 @@ def _regular(n: int) -> tuple[float, float]:
 
 
 def _regular_plus(n: int) -> tuple[float, float]:
-    _require(n % 2 == 0 and n >= 4, f"regular-plus needs even n >= 4, got {n}")
     half = PI / (2 * n - 2)
     L = (2 * n - 2) * math.sin(half) + 4 * math.sin(PI / (4 * n - 4)) - 2 * math.sin(half)
     return L, math.cos(half)
 
 
-def _reuleaux(n: int, m: int | None) -> tuple[float, float]:
-    if m is not None:
-        _require(m >= 3 and m % 2 == 1, f"reuleaux needs odd m >= 3, got {m}")
-        _require(n % m == 0, f"reuleaux needs m | n, got m={m}, n={n}")
-    return 2 * n * math.sin(PI / (2 * n)), math.cos(PI / (2 * n))
-
-
 def _tamvakis(n: int) -> tuple[float, float]:
-    _require(is_power_of_two(n) and n >= 4, f"tamvakis needs n = 2^s >= 4, got {n}")
     if n % 3 == 1:
         L = ((4 * n - 4) / 3) * math.sin(PI / (2 * n - 2)) \
             + ((2 * n + 4) / 3) * math.sin(PI / (2 * n + 4))
@@ -162,7 +171,6 @@ def _tamvakis(n: int) -> tuple[float, float]:
 
 
 def _b_family(n: int) -> tuple[float, float]:
-    _require(is_power_of_two(n) and n >= 8, f"b needs n = 2^s >= 8, got {n}")
     beta = b_alternation(n)
     L = 2 * n * math.sin(PI / (2 * n)) * math.cos(beta / 2)
     W = math.cos(PI / (2 * n) + beta / 2)
@@ -170,7 +178,6 @@ def _b_family(n: int) -> tuple[float, float]:
 
 
 def _q_family(n: int) -> tuple[float, float]:
-    _require(is_power_of_two(n) and n >= 4, f"q needs n = 2^s >= 4, got {n}")
     gamma = q_alternation(n)
     L = 2 * n * math.sin(PI / (2 * n)) * math.cos(gamma / 2)
     W = math.cos(PI / (2 * n) + gamma / 2)
@@ -186,7 +193,6 @@ def _regular_hat(n: int) -> tuple[float, float]:
 
 
 def _b_hat(n: int) -> tuple[float, float]:
-    _require(is_power_of_two(n) and n >= 8, f"b-hat needs n = 2^s >= 8, got {n}")
     beta = b_alternation(n)
     w = (1.0 / (2 * n)) * (1.0 / math.tan(PI / (2 * n)) - math.tan(beta / 2))
     return 1.0, w
@@ -195,7 +201,7 @@ def _b_hat(n: int) -> tuple[float, float]:
 _CLOSED_FORMS = {
     "regular": lambda n, m: _regular(n),
     "regular-plus": lambda n, m: _regular_plus(n),
-    "reuleaux": _reuleaux,
+    "reuleaux": lambda n, m: (2 * n * math.sin(PI / (2 * n)), math.cos(PI / (2 * n))),
     "tamvakis": lambda n, m: _tamvakis(n),
     "b": lambda n, m: _b_family(n),
     "q": lambda n, m: _q_family(n),
@@ -207,13 +213,13 @@ _CLOSED_FORMS = {
 def closed_form(family: str, n: int, m: int | None = None) -> tuple[float, float]:
     """Analytic (perimeter, width) of a family member.
 
-    The unit-perimeter variants return ``(1.0, w)``.  ``m`` is only consulted
-    for the ``reuleaux`` family, whose perimeter and width depend on n alone.
+    The unit-perimeter variants return ``(1.0, w)``.  ``m`` only enters the
+    ``reuleaux`` family's n rule; its perimeter and width depend on n alone.
     """
     key = str(family)
     if key not in _CLOSED_FORMS:
         raise UnknownFamilyError(f"no closed form for family {family!r}")
-    _require(n >= 3, f"need n >= 3, got {n}")
+    require_n(key.removesuffix("-hat"), n, m)
     return _CLOSED_FORMS[key](n, m)
 
 
@@ -241,7 +247,7 @@ def mossinghoff_perimeter(n: int) -> float:
 
 
 def mossinghoff_width(n: int) -> float:
-    _require(is_power_of_two(n) and n >= 8, f"need n = 2^s >= 8, got {n}")
+    require_n("b", n)
     return math.cos(PI / (2 * n) + PI ** 2 / (4 * n ** 2) - PI ** 2 / (2 * n ** 3))
 
 
@@ -294,7 +300,7 @@ def gap_constants(family: str, n: int) -> float:
     Compare the result against ``GAP_LAWS[family][1]``; at n = 2^12 the two
     agree within a fraction of a percent for every law.
     """
-    _require(n >= 4, f"need n >= 4, got {n}")
+    require_n(family.rsplit("-", 1)[0].removesuffix("-hat"), n)
     half = PI / (2 * n)
     if family == "b-perimeter":
         beta = b_alternation(n)
@@ -312,7 +318,6 @@ def gap_constants(family: str, n: int) -> float:
         beta = b_alternation(n)
         return n ** 4 * math.tan(beta / 2) / (2 * n)
     if family == "tamvakis-perimeter":
-        _require(is_power_of_two(n), f"tamvakis gap needs n = 2^s, got {n}")
         k, r = divmod(n, 3)
         # three pi/3 arcs of k or k + 1 subarcs, less the bound's pi in n subarcs
         arcs = [(Fraction(1, 3), Fraction(1, 3 * c))
@@ -325,12 +330,10 @@ def gap_constants(family: str, n: int) -> float:
         _require(n % 2 == 0, "regular width gap law applies to even n")
         return n ** 2 * (2 * math.sin(3 * half / 2) * math.sin(half / 2))
     if family == "regular-plus-perimeter":
-        _require(n % 2 == 0, "regular-plus gap laws apply to even n")
         hs = Fraction(1, n - 1)
         return n ** 3 * _chord_deficits([(1 - hs, hs), (hs, hs / 2),
                                          (Fraction(-1), Fraction(1, n))])
     if family == "regular-plus-width":
-        _require(n % 2 == 0, "regular-plus gap laws apply to even n")
         other = PI / (2 * n - 2)
         spread = PI / (2 * n * (n - 1))  # = other - half, exactly
         return n ** 3 * (2 * math.sin((half + other) / 2) * math.sin(spread / 2))

@@ -83,8 +83,7 @@ class TableSpec:
         if self.table_id not in TABLE_IDS:
             raise UsageError(f"unknown table id {self.table_id!r}")
         for n in self.n_values:
-            if n < 4 or not bounds.is_power_of_two(n):
-                raise UsageError(f"table n-values must be powers of two >= 4, got {n}")
+            bounds.require_n("q" if self.table_id == "T6_q_angles" else "b", n, error=UsageError)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +110,7 @@ def build_polygon(family: str, n: int, m: int | None = None) -> SmallPolygon:
     """Construct a family polygon from CLI-style parameters."""
     if family not in _BUILDERS:
         raise UsageError(f"unknown family {family!r}; choose from {sorted(_BUILDERS)}")
-    try:
-        return _BUILDERS[family](n, m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _BUILDERS[family](n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +571,12 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "optimize":
         build = build_b_problem if args.problem == "b" else build_q_problem
-        try:
-            problem = build(args.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        report = solve(problem, _load_config(args.config))
+        report = solve(build(args.n), _load_config(args.config))
         _emit(_json17(report.to_json_dict()) + "\n", args.out)
         return EXIT_OK
     if args.command == "verify":
-        if args.n_max < 4 or not bounds.is_power_of_two(args.n_max):
-            raise UsageError(f"--n-max must be a power of two >= 4, got {args.n_max}")
+        # every family's sweep doubles from q's least n
+        bounds.require_n("q", args.n_max, error=UsageError)
         results = verify_checks(args.n_max, args.polygon)
         lines = []
         for name, ok, detail in results:
@@ -610,7 +602,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (InvalidPolygonError, NonConvexError, NonConvergenceError, CertificationError,
-            OSError) as exc:
+            OSError, OverflowError) as exc:  # overflow: n too large for binary64
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except MemoryError as exc:  # numpy's failed allocations included

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import b_alternation, is_power_of_two, q_alternation
+from .bounds import b_alternation, q_alternation, require_n
 from .geometry import (
     Family,
     SmallPolygon,
@@ -80,8 +80,7 @@ def regular(n: int) -> SmallPolygon:
     for odd n it is 1/(2 cos(pi/2n)) so vertex-to-far-vertex distances are 1,
     which puts the flat edge at the top of this frame.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    require_n("regular", n)
     return _polygon(_regular_vertices(n), Family.REGULAR, {"n": n})
 
 
@@ -99,8 +98,7 @@ def regular_plus(n: int) -> SmallPolygon:
     choices are congruent), landing at (0, 1) in this frame and splitting the
     flat top edge of the odd (n-1)-gon.
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"need even n >= 4, got {n}")
+    require_n("regular-plus", n)
     top = (n - 2) // 2  # apex goes between the two topmost vertices
     verts = np.insert(_regular_vertices(n - 1), top + 1, (0.0, 1.0), axis=0)
     return _polygon(verts, Family.REGULAR_PLUS, {"n": n})
@@ -133,10 +131,7 @@ def reuleaux_subdivision(m: int, n: int) -> SmallPolygon:
     at regular angular intervals.  The result has perimeter 2n sin(pi/2n)
     and width cos(pi/2n), attaining both classical bounds.
     """
-    if m < 3 or m % 2 == 0:
-        raise ValueError(f"need odd m >= 3, got {m}")
-    if n % m != 0:
-        raise ValueError(f"need m | n, got m={m}, n={n}")
+    require_n("reuleaux", n, m)
     verts = _reuleaux(_regular_vertices(m), [n // m] * m)
     return _polygon(verts, Family.REULEAUX_SUB, {"m": m, "n": n})
 
@@ -150,8 +145,7 @@ def tamvakis(n: int) -> SmallPolygon:
     distribution is the unique one reproducing the family's perimeter
     formula (2 sin(pi/(2n-2)) chords etc.).
     """
-    if not (is_power_of_two(n) and n >= 4):
-        raise ValueError(f"need n = 2^s >= 4, got {n}")
+    require_n("tamvakis", n)
     corners = np.array([(0.0, 0.0), (0.5, math.sqrt(3.0) / 2.0), (-0.5, math.sqrt(3.0) / 2.0)])
     k, r = divmod(n, 3)
     top = k + 1 if r == 1 else k      # arc opposite the origin corner
@@ -172,11 +166,12 @@ class _AngleParam:
     sum w_k a_k = pi/2 (symmetry), the half-cycle closure
     const + sum_{r=0}^{dim-2} (-1)^r sin(phi_r) = 0 over the phases
     phi_r = sum_{j<=r} w_j a_j, and the boxes 0 <= a_k <= upper_k.  Each
-    subclass states its family's data once: the least n (``_MIN_N``), the
-    number of angles (``_dim``), the closure constant (``_CLOSURE``), the
-    weights and upper boxes as (first, middle, last) values, and the phases
-    (``phases``), along which the vertex walk steps too.  The optimizer
-    builds its problem from the same weights, boxes and constant.
+    subclass states its family's data once: the key of its n rule
+    (``_FAMILY``), the number of angles (``_dim``), the closure constant
+    (``_CLOSURE``), the weights and upper boxes as (first, middle, last)
+    values, and the phases (``phases``), along which the vertex walk steps
+    too.  The optimizer builds its problem from the same weights, boxes and
+    constant.
     """
 
     n: int
@@ -209,8 +204,7 @@ class _AngleParam:
     def validate(self, sum_tol: float = ANGLE_SUM_TOL,
                  closure_tol: float = CLOSURE_TOL) -> bool:
         """Raise InfeasibleAnglesError unless feasible within the tolerances; True if strictly so."""
-        if not (is_power_of_two(self.n) and self.n >= self._MIN_N):
-            raise InfeasibleAnglesError(f"need n = 2^s >= {self._MIN_N}, got {self.n}")
+        require_n(self._FAMILY, self.n, error=InfeasibleAnglesError)
         dim = self._dim(self.n)
         if len(self.alphas) != dim:
             raise InfeasibleAnglesError(
@@ -235,7 +229,7 @@ class AngleParamB(_AngleParam):
     0 <= a_k <= pi/6 (pi/3 for the last angle).
     """
 
-    _MIN_N = 8
+    _FAMILY = "b"
     _CLOSURE = 0.5
     _WEIGHTS = (1.0, 2.0, 1.0)
     _UPPER = (math.pi / 6, math.pi / 6, math.pi / 3)
@@ -258,7 +252,7 @@ class AngleParamQ(_AngleParam):
     -1/2; boxes 0 <= a_0 <= pi/6, 0 <= a_k <= pi/3 otherwise.
     """
 
-    _MIN_N = 4
+    _FAMILY = "q"
     _CLOSURE = -0.5
     _WEIGHTS = (1.0, 1.0, 1.0)
     _UPPER = (math.pi / 6, math.pi / 3, math.pi / 3)
@@ -275,16 +269,14 @@ class AngleParamQ(_AngleParam):
 
 def b_angles(n: int) -> AngleParamB:
     """Analytic angles pi/n + (-1)^k beta of the cycle-plus-pendants family."""
-    if not (is_power_of_two(n) and n >= 8):
-        raise ValueError(f"need n = 2^s >= 8, got {n}")
+    require_n("b", n)
     beta = b_alternation(n)
     return AngleParamB(n, [math.pi / n + ((-1.0) ** k) * beta for k in range(n // 4 + 1)])
 
 
 def q_angles(n: int) -> AngleParamQ:
     """Analytic angles pi/n - (-1)^k gamma of the odd-cycle family."""
-    if not (is_power_of_two(n) and n >= 4):
-        raise ValueError(f"need n = 2^s >= 4, got {n}")
+    require_n("q", n)
     gamma = q_alternation(n)
     return AngleParamQ(n, [math.pi / n - ((-1.0) ** k) * gamma for k in range(n // 2)])
 

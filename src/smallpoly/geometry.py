@@ -447,7 +447,11 @@ def polygon_to_json(p: SmallPolygon) -> str:
 
 
 def polygon_from_json(text: str) -> SmallPolygon:
-    """Parse the JSON interchange form back into a polygon."""
+    """Parse the JSON interchange form back into a polygon.
+
+    Every number in the document must be finite, so what this returns
+    :func:`polygon_to_json` writes back as JSON that this reads again.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -472,4 +476,8 @@ def polygon_from_json(text: str) -> SmallPolygon:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise InvalidPolygonError("'params' must be an object")
+    try:  # NaN, Infinity or 1e400 outside the vertices, which the constructor checks
+        json.dumps([v for k, v in doc.items() if k != "vertices"], allow_nan=False)
+    except ValueError as exc:
+        raise InvalidPolygonError("polygon JSON holds a non-finite number") from exc
     return SmallPolygon.from_coords(vertices, family, params)

@@ -6,17 +6,29 @@ import pytest
 
 from smallpoly import (
     GAP_LAWS,
+    AngleParamB,
+    AngleParamQ,
+    InfeasibleAnglesError,
     UnknownFamilyError,
     b_alternation,
+    b_angles,
+    b_family,
+    build_b_problem,
+    build_q_problem,
     closed_form,
     gap_constants,
     mossinghoff_perimeter,
     mossinghoff_width,
     q_alternation,
+    q_angles,
+    q_family,
+    regular,
+    regular_plus,
+    reuleaux_subdivision,
+    tamvakis,
     upper_bounds,
 )
-
-from smallpoly.bounds import is_power_of_two
+from smallpoly.cli import EXIT_USAGE, TABLE_IDS, TableSpec, UsageError, main
 
 from _reference import (
     OPTIMAL_PERIMETER_B,
@@ -30,9 +42,73 @@ PI = math.pi
 POWERS = (8, 16, 32, 64, 128)
 
 
-def test_is_power_of_two():
-    assert [n for n in range(-2, 70) if is_power_of_two(n)] == [1, 2, 4, 8, 16, 32, 64]
-    assert is_power_of_two(2 ** 60)
+# Every entry point that asks a family's n rule: (error class, call of n and m).
+RULE_CALLS = {
+    "b": [(ValueError, lambda n, m: closed_form("b", n)),
+          (ValueError, lambda n, m: closed_form("b-hat", n)),
+          (ValueError, lambda n, m: mossinghoff_width(n)),
+          (ValueError, lambda n, m: gap_constants("b-width", n)),
+          (ValueError, lambda n, m: gap_constants("b-hat-width", n)),
+          (ValueError, lambda n, m: b_angles(n)),
+          (ValueError, lambda n, m: b_family(n)),
+          (ValueError, lambda n, m: build_b_problem(n)),
+          (InfeasibleAnglesError, lambda n, m: AngleParamB(n, ()).validate())]
+         + [(UsageError, lambda n, m, t=t: TableSpec(t, (8, n))) for t in TABLE_IDS[:5]],
+    "q": [(ValueError, lambda n, m: closed_form("q", n)),
+          (ValueError, lambda n, m: gap_constants("q-width", n)),
+          (ValueError, lambda n, m: q_angles(n)),
+          (ValueError, lambda n, m: q_family(n)),
+          (ValueError, lambda n, m: build_q_problem(n)),
+          (InfeasibleAnglesError, lambda n, m: AngleParamQ(n, ()).validate()),
+          (UsageError, lambda n, m: TableSpec("T6_q_angles", (n,)))],
+    "tamvakis": [(ValueError, lambda n, m: closed_form("tamvakis", n)),
+                 (ValueError, lambda n, m: gap_constants("tamvakis-perimeter", n)),
+                 (ValueError, lambda n, m: tamvakis(n))],
+    "regular-plus": [(ValueError, lambda n, m: closed_form("regular-plus", n)),
+                     (ValueError, lambda n, m: gap_constants("regular-plus-width", n)),
+                     (ValueError, lambda n, m: regular_plus(n))],
+    "reuleaux": [(ValueError, lambda n, m: closed_form("reuleaux", n, m)),
+                 (ValueError, lambda n, m: reuleaux_subdivision(m, n))],
+    "regular": [(ValueError, lambda n, m: closed_form("regular", n)),
+                (ValueError, lambda n, m: closed_form("regular-hat", n)),
+                (ValueError, lambda n, m: gap_constants("regular-hat-width", n)),
+                (ValueError, lambda n, m: regular(n))],
+}
+# ... and every command line that does
+RULE_ARGV = {
+    "b": [["build", "--family", "b", "--n", "{n}"], ["optimize", "--problem", "b", "--n", "{n}"]]
+         + [["table", "--id", str(k), "--n", "8,{n}"] for k in range(1, 6)],
+    "q": [["build", "--family", "q", "--n", "{n}"], ["optimize", "--problem", "q", "--n", "{n}"],
+          ["table", "--id", "6", "--n", "{n}"], ["verify", "--n-max", "{n}"]],
+    "tamvakis": [["build", "--family", "tamvakis", "--n", "{n}"]],
+    "regular-plus": [["build", "--family", "regular-plus", "--n", "{n}"]],
+    "reuleaux": [["build", "--family", "reuleaux", "--n", "{n}", "--m", "{m}"]],
+    "regular": [["build", "--family", "regular", "--n", "{n}"]],
+}
+
+
+@pytest.mark.parametrize("family,n,m,message", [
+    ("b", 6, None, "b needs n = 2^s >= 8, got n=6"),
+    ("b", 4, None, "b needs n = 2^s >= 8, got n=4"),
+    ("q", 6, None, "q needs n = 2^s >= 4, got n=6"),
+    ("q", 2, None, "q needs n = 2^s >= 4, got n=2"),
+    ("tamvakis", 12, None, "tamvakis needs n = 2^s >= 4, got n=12"),
+    ("regular-plus", 5, None, "regular-plus needs even n >= 4, got n=5"),
+    ("regular-plus", 2, None, "regular-plus needs even n >= 4, got n=2"),
+    ("reuleaux", 8, 4, "reuleaux needs odd m >= 3 dividing n >= 3, got n=8, m=4"),
+    ("reuleaux", 8, 3, "reuleaux needs odd m >= 3 dividing n >= 3, got n=8, m=3"),
+    ("reuleaux", 0, 3, "reuleaux needs odd m >= 3 dividing n >= 3, got n=0, m=3"),
+    ("regular", 2, None, "regular needs n >= 3, got n=2"),
+])
+def test_every_entry_point_refuses_an_inadmissible_n_alike(capsys, family, n, m, message):
+    for error, call in RULE_CALLS[family]:
+        with pytest.raises(ValueError) as caught:
+            call(n, m)
+        assert (type(caught.value), str(caught.value)) == (error, message)
+    for argv in RULE_ARGV[family]:
+        code = main([arg.format(n=n, m=m) for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_upper_bounds_at_8():

@@ -651,3 +651,58 @@ def test_verify_pendant_lines_flags_a_moved_pendant_end(monkeypatch):
     assert rows["pendant-lines[b n=8]"][0]
     ok, detail = rows["pendant-lines[b n=16]"]
     assert not ok and float(detail.split()[-1]) > 1e-9
+
+
+@pytest.mark.parametrize("table_id", ["2", "3"])
+def test_table_reports_an_n_too_large_for_binary64_as_one_error_line(capsys, table_id):
+    # T2 and T3 print up to n = 2^255; the gap law's n^4 overflows a double from 2^256 on
+    code, out, _ = run(capsys, "table", "--id", table_id, "--n", str(2 ** 255))
+    assert code == EXIT_OK and out.splitlines()[1].endswith(",1.0000")
+    code, out, err = run(capsys, "table", "--id", table_id, "--n", str(2 ** 256))
+    assert (code, out, err) == (EXIT_CHECK, "", "error: int too large to convert to float\n")
+
+
+NAN_PARAMS = '{"params": {"m": NaN}, "vertices": [[0, 0], [1, 0], [0.5, 0.75]]}'
+
+
+def test_non_finite_params_are_a_data_error_in_every_reader(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(NAN_PARAMS)
+    message = "error: polygon JSON holds a non-finite number\n"
+    assert run(capsys, "measure", str(path)) == (EXIT_CHECK, "", message)
+    assert run(capsys, "render", str(path), "--out", str(tmp_path / "nan.svg")) == (
+        EXIT_CHECK, "", message)
+    code, out, err = run(capsys, "verify", "--n-max", "4", "--polygon", str(path))
+    assert code == EXIT_CHECK and err == ""
+    assert f"[FAIL] polygon-file[{path}]  (InvalidPolygonError: {message[7:-1]})" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "b", "--n", "6"],
+    ["build", "--family", "regular", "--n", "2"],
+    ["build", "--family", "regular-plus", "--n", "5"],
+    ["build", "--family", "tamvakis", "--n", "12"],
+    ["build", "--family", "reuleaux", "--n", "8", "--m", "4"],
+    ["build", "--family", "reuleaux", "--n", "0", "--m", "3"],
+    ["build", "--family", "reuleaux", "--n", "-3", "--m", "3"],
+    ["build", "--family", "reuleaux", "--n", "6"],
+    ["measure", "{nan}"],
+    ["measure", "{missing}"],
+    ["render", "{nan}", "--out", "{svg}"],
+    ["table", "--id", "1", "--n", "4"],
+    ["table", "--id", "2", "--n", str(2 ** 256)],
+    ["table", "--id", "3", "--n", str(2 ** 256)],
+    ["table", "--id", "6", "--n", "6"],
+    ["table", "--id", "1", "--n", "8,x"],
+    ["optimize", "--problem", "b", "--n", "4"],
+    ["optimize", "--problem", "q", "--n", "6"],
+    ["verify", "--n-max", "12"],
+    ["verify", "--n-max", "0"],
+], ids=lambda argv: " ".join(argv)[:40])
+def test_bad_invocations_exit_1_or_2_with_one_error_line(tmp_path, capsys, argv):
+    nan = tmp_path / "nan.json"
+    nan.write_text(NAN_PARAMS)
+    paths = {"nan": nan, "missing": tmp_path / "missing.json", "svg": tmp_path / "out.svg"}
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code in (EXIT_CHECK, EXIT_USAGE) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

@@ -1,6 +1,7 @@
 """Coordinate-level metric tests: known shapes, invariants, JSON round-trips."""
 
 import contextlib
+import json
 import math
 
 import numpy as np
@@ -263,6 +264,26 @@ def test_vertices_are_an_n_by_2_float_array():
 def test_json_rejects_every_non_coordinate(vertices):
     with pytest.raises(InvalidPolygonError):
         polygon_from_json('{"vertices": ' + vertices + "}")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values.map(json.dumps) | st.sampled_from(["1e400", "-1e400", '[0, {"x": 1e999}]']))
+@example("NaN")
+@example("1e400")
+def test_every_polygon_read_from_json_writes_back_as_json_it_reads(param):
+    text = '{"params": {"p": %s}, "vertices": [[0, 0], [1, 0], [0, 1]]}' % param
+    try:
+        poly = polygon_from_json(text)
+    except InvalidPolygonError as exc:
+        assert "non-finite" in str(exc)
+        return
+    assert polygon_from_json(polygon_to_json(poly)) == poly
 
 
 def test_json_accepts_integer_coordinates():
