@@ -24,11 +24,6 @@ class UnknownFamilyError(ValueError):
     """Family key not recognized by this module."""
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ValueError(message)
-
-
 def require_n(family: str, n: int, m: int | None = None,
               error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` unless ``family`` has a member with n vertices (over m arcs).
@@ -170,17 +165,11 @@ def _tamvakis(n: int) -> tuple[float, float]:
     return L, W
 
 
-def _b_family(n: int) -> tuple[float, float]:
-    beta = b_alternation(n)
-    L = 2 * n * math.sin(PI / (2 * n)) * math.cos(beta / 2)
-    W = math.cos(PI / (2 * n) + beta / 2)
-    return L, W
-
-
-def _q_family(n: int) -> tuple[float, float]:
-    gamma = q_alternation(n)
-    L = 2 * n * math.sin(PI / (2 * n)) * math.cos(gamma / 2)
-    W = math.cos(PI / (2 * n) + gamma / 2)
+def _alternating(offset: float, n: int) -> tuple[float, float]:
+    """Perimeter 2n sin(pi/2n) cos(offset/2) and width cos(pi/2n + offset/2)
+    of the member with angles pi/n +- offset (b and q)."""
+    L = 2 * n * math.sin(PI / (2 * n)) * math.cos(offset / 2)
+    W = math.cos(PI / (2 * n) + offset / 2)
     return L, W
 
 
@@ -199,14 +188,14 @@ def _b_hat(n: int) -> tuple[float, float]:
 
 
 _CLOSED_FORMS = {
-    "regular": lambda n, m: _regular(n),
-    "regular-plus": lambda n, m: _regular_plus(n),
-    "reuleaux": lambda n, m: (2 * n * math.sin(PI / (2 * n)), math.cos(PI / (2 * n))),
-    "tamvakis": lambda n, m: _tamvakis(n),
-    "b": lambda n, m: _b_family(n),
-    "q": lambda n, m: _q_family(n),
-    "regular-hat": lambda n, m: _regular_hat(n),
-    "b-hat": lambda n, m: _b_hat(n),
+    "regular": _regular,
+    "regular-plus": _regular_plus,
+    "reuleaux": lambda n: (2 * n * math.sin(PI / (2 * n)), math.cos(PI / (2 * n))),
+    "tamvakis": _tamvakis,
+    "b": lambda n: _alternating(b_alternation(n), n),
+    "q": lambda n: _alternating(q_alternation(n), n),
+    "regular-hat": _regular_hat,
+    "b-hat": _b_hat,
 }
 
 
@@ -220,7 +209,7 @@ def closed_form(family: str, n: int, m: int | None = None) -> tuple[float, float
     if key not in _CLOSED_FORMS:
         raise UnknownFamilyError(f"no closed form for family {family!r}")
     require_n(key.removesuffix("-hat"), n, m)
-    return _CLOSED_FORMS[key](n, m)
+    return _CLOSED_FORMS[key](n)
 
 
 # ---------------------------------------------------------------------------
@@ -298,46 +287,38 @@ def gap_constants(family: str, n: int) -> float:
     """Scaled gap n^p * (bound - value) for the family's asymptotic law.
 
     Compare the result against ``GAP_LAWS[family][1]``; at n = 2^12 the two
-    agree within a fraction of a percent for every law.
+    agree within a fraction of a percent for every law.  The b and q laws
+    share one form in their angle offset (:func:`_alternating`), as do the
+    regular laws at even n, whose angles read as pi/n +- pi/n.
     """
-    require_n(family.rsplit("-", 1)[0].removesuffix("-hat"), n)
-    half = PI / (2 * n)
-    if family == "b-perimeter":
-        beta = b_alternation(n)
-        return n ** 6 * (2 * n * math.sin(half) * 2 * math.sin(beta / 4) ** 2)
-    if family == "b-width":
-        beta = b_alternation(n)
-        return n ** 4 * (2 * math.sin(half + beta / 4) * math.sin(beta / 4))
-    if family == "q-perimeter":
-        gamma = q_alternation(n)
-        return n ** 4 * (2 * n * math.sin(half) * 2 * math.sin(gamma / 4) ** 2)
-    if family == "q-width":
-        gamma = q_alternation(n)
-        return n ** 3 * (2 * math.sin(half + gamma / 4) * math.sin(gamma / 4))
-    if family == "b-hat-width":
-        beta = b_alternation(n)
-        return n ** 4 * math.tan(beta / 2) / (2 * n)
-    if family == "tamvakis-perimeter":
+    if family not in GAP_LAWS:
+        raise UnknownFamilyError(f"no gap law for family {family!r}")
+    kind, metric = family.rsplit("-", 1)
+    require_n(kind.removesuffix("-hat"), n)
+    scale, half = n ** GAP_LAWS[family][0], PI / (2 * n)
+    if kind == "tamvakis":
         k, r = divmod(n, 3)
         # three pi/3 arcs of k or k + 1 subarcs, less the bound's pi in n subarcs
         arcs = [(Fraction(1, 3), Fraction(1, 3 * c))
                 for c in ((k, k, k + 1) if r == 1 else (k + 1, k + 1, k))]
-        return n ** 4 * _chord_deficits(arcs + [(Fraction(-1), Fraction(1, n))])
-    if family == "regular-perimeter":
-        _require(n % 2 == 0, "regular perimeter gap law applies to even n")
-        return n ** 2 * (2 * n * math.sin(half) * 2 * math.sin(half / 2) ** 2)
-    if family == "regular-width":
-        _require(n % 2 == 0, "regular width gap law applies to even n")
-        return n ** 2 * (2 * math.sin(3 * half / 2) * math.sin(half / 2))
-    if family == "regular-plus-perimeter":
-        hs = Fraction(1, n - 1)
-        return n ** 3 * _chord_deficits([(1 - hs, hs), (hs, hs / 2),
-                                         (Fraction(-1), Fraction(1, n))])
-    if family == "regular-plus-width":
+        return scale * _chord_deficits(arcs + [(Fraction(-1), Fraction(1, n))])
+    if kind == "regular-plus":
+        if metric == "perimeter":
+            hs = Fraction(1, n - 1)
+            return scale * _chord_deficits([(1 - hs, hs), (hs, hs / 2),
+                                            (Fraction(-1), Fraction(1, n))])
         other = PI / (2 * n - 2)
         spread = PI / (2 * n * (n - 1))  # = other - half, exactly
-        return n ** 3 * (2 * math.sin((half + other) / 2) * math.sin(spread / 2))
-    if family == "regular-hat-width":
-        _require(n % 2 == 0, "regular-hat gap law applies to even n")
-        return n ** 2 * math.tan(half) / (2 * n)
-    raise UnknownFamilyError(f"no gap law for family {family!r}")
+        return scale * (2 * math.sin((half + other) / 2) * math.sin(spread / 2))
+    if kind.startswith("regular"):
+        if n % 2:
+            raise ValueError(f"{family} gap law applies to even n")
+        offset = 2 * half
+    else:
+        offset = q_alternation(n) if kind == "q" else b_alternation(n)
+    if metric == "perimeter":  # ub_L (1 - cos(offset/2))
+        return scale * (2 * n * math.sin(half) * 2 * math.sin(offset / 4) ** 2)
+    if kind.endswith("-hat"):  # ub_w - w = tan(offset/2) / 2n
+        return scale * math.tan(offset / 2) / (2 * n)
+    # cos(pi/2n) - cos(pi/2n + offset/2)
+    return scale * (2 * math.sin(half + offset / 4) * math.sin(offset / 4))

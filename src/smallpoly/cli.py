@@ -215,6 +215,8 @@ def table_csv(spec: TableSpec, digits: int | None = None,
     angle tables print 6 significant digits.  ``digits`` overrides the
     defaults.  The optimal-perimeter and angle tables run the optimizer.
     """
+    if digits is not None and digits < 0:
+        raise UsageError(f"--digits must be >= 0, got {digits}")
     out = []
     tid = spec.table_id
     dec10 = digits if digits is not None else 10
@@ -469,9 +471,12 @@ def _file_ok(path: str) -> tuple[bool, str]:
 
 def _parse_n_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok)
-    except ValueError as exc:
-        raise UsageError(f"bad n list {text!r}") from exc
+        n_values = tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        n_values = ()
+    if not n_values:
+        raise UsageError(f"bad n list {text!r}")
+    return n_values
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -558,7 +563,7 @@ def _run(args: argparse.Namespace) -> int:
         tid = args.table_id
         if tid in tuple(str(i) for i in range(1, 7)):
             tid = TABLE_IDS[int(tid) - 1]
-        n_values = _parse_n_list(args.n) if args.n else DEFAULT_N_VALUES
+        n_values = DEFAULT_N_VALUES if args.n is None else _parse_n_list(args.n)
         spec = TableSpec(tid, n_values)
         _emit(table_csv(spec, args.digits, _load_config(args.config)), args.out)
         return EXIT_OK

@@ -267,18 +267,23 @@ class AngleParamQ(_AngleParam):
         return np.cumsum(np.asarray(alphas, dtype=float)[:-1])
 
 
+def _alternating_angles(n: int, offset: float, dim: int) -> np.ndarray:
+    """The ``dim`` angles pi/n + (-1)^k offset, k = 0 .. dim-1."""
+    angles = np.full(dim, math.pi / n + offset)
+    angles[1::2] = math.pi / n - offset
+    return angles
+
+
 def b_angles(n: int) -> AngleParamB:
     """Analytic angles pi/n + (-1)^k beta of the cycle-plus-pendants family."""
     require_n("b", n)
-    beta = b_alternation(n)
-    return AngleParamB(n, [math.pi / n + ((-1.0) ** k) * beta for k in range(n // 4 + 1)])
+    return AngleParamB(n, _alternating_angles(n, b_alternation(n), AngleParamB._dim(n)))
 
 
 def q_angles(n: int) -> AngleParamQ:
     """Analytic angles pi/n - (-1)^k gamma of the odd-cycle family."""
     require_n("q", n)
-    gamma = q_alternation(n)
-    return AngleParamQ(n, [math.pi / n - ((-1.0) ** k) * gamma for k in range(n // 2)])
+    return AngleParamQ(n, _alternating_angles(n, -q_alternation(n), AngleParamQ._dim(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +328,17 @@ def _q_vertices(n: int, alphas: Sequence[float]) -> np.ndarray:
     return np.concatenate((walk, _mirror(walk[1:]), [(0.0, 1.0)]))
 
 
-def _from_angles(param: _AngleParam, vertices, variant: str) -> SmallPolygon:
+def _ordered_vertices(param: _AngleParam) -> np.ndarray:
+    """The family's vertex rows of ``param`` in counterclockwise boundary order."""
+    verts = (_b_vertices if param._FAMILY == "b" else _q_vertices)(param.n, param.alphas)
+    return verts[_boundary_order(verts)]
+
+
+def _from_angles(param: _AngleParam) -> SmallPolygon:
+    """The polygon of :func:`from_angles_b` / :func:`from_angles_q`, by ``param``'s family."""
     strict = param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
-    verts = vertices(param.n, param.alphas)
-    verts = verts[_boundary_order(verts)]
-    params = {"variant": variant, "n": param.n, "alphas": list(param.alphas)}
-    poly = SmallPolygon.from_coords(verts, Family.FROM_ANGLES, params)
+    params = {"variant": param._FAMILY, "n": param.n, "alphas": list(param.alphas)}
+    poly = SmallPolygon.from_coords(_ordered_vertices(param), Family.FROM_ANGLES, params)
     if strict:
         validate_small_polygon(poly)
     else:
@@ -352,7 +362,7 @@ def from_angles_b(param: AngleParamB) -> SmallPolygon:
     are built as-is, with the unit-diameter bound slackened accordingly.
     Anything farther off raises :class:`InfeasibleAnglesError`.
     """
-    return _from_angles(param, _b_vertices, "b")
+    return _from_angles(param)
 
 
 def from_angles_q(param: AngleParamQ) -> SmallPolygon:
@@ -362,7 +372,7 @@ def from_angles_q(param: AngleParamQ) -> SmallPolygon:
     fully validated, rounding-grade sequences are built with a slackened
     diameter bound, and grossly infeasible ones are rejected.
     """
-    return _from_angles(param, _q_vertices, "q")
+    return _from_angles(param)
 
 
 def b_family(n: int) -> SmallPolygon:
@@ -371,14 +381,12 @@ def b_family(n: int) -> SmallPolygon:
     Angles pi/n + (-1)^k beta with beta fixed by the closure condition; its
     perimeter is 2n sin(pi/2n) cos(beta/2) and its width cos(pi/2n + beta/2).
     """
-    verts = _b_vertices(n, b_angles(n).alphas)
-    return _polygon(verts[_boundary_order(verts)], Family.B_FAMILY, {"n": n})
+    return _polygon(_ordered_vertices(b_angles(n)), Family.B_FAMILY, {"n": n})
 
 
 def q_family(n: int) -> SmallPolygon:
     """The closed-form member of the odd-cycle family."""
-    verts = _q_vertices(n, q_angles(n).alphas)
-    return _polygon(verts[_boundary_order(verts)], Family.Q_FAMILY, {"n": n})
+    return _polygon(_ordered_vertices(q_angles(n)), Family.Q_FAMILY, {"n": n})
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ the family's weights w, closure constant and boxes:
 
 with phi_r = sum_{j<=r} w_j a_j.  "b" has n/4+1 angles, weights
 (1, 2, .., 2, 1) and const 1/2; "q" has n/2 angles, unit weights and const
--1/2.  :func:`_build_problem` writes the program once; each family adds only
-how it assembles the phases from deviations.
+-1/2.  :func:`_build_problem` writes the program once and reads the rest,
+phases included, from the family's angle class.
 
 The solver runs Newton's method on the KKT system (stationarity plus
 feasibility; Nocedal & Wright, *Numerical Optimization*, section 18.1)
@@ -38,14 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constructions import (
-    AngleParamB,
-    AngleParamQ,
-    b_angles,
-    from_angles_b,
-    from_angles_q,
-    q_angles,
-)
+from .constructions import AngleParamB, AngleParamQ, _from_angles, b_angles, q_angles
 from .geometry import DIAMETER_TOL, MetricsReport, measure
 
 DEFAULT_TOL_EQ = 1e-11
@@ -165,8 +158,7 @@ def _suffix_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.cumsum(rows, axis=1)[:, -1]
 
 
-def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
-                   phases: Callable[[np.ndarray], np.ndarray]) -> NlpProblem:
+def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
     """The perimeter problem of the family whose analytic member is ``warm``.
 
     With the family's weights w, closure constant and boxes (read from its
@@ -175,15 +167,17 @@ def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
         max 4 sum w_k sin(a_k/2)  s.t.  sum w_k a_k = pi/2,
         const + sum_{r<dim-1} (-1)^r sin(phi_r) = 0,  0 <= a_k <= upper_k,
 
-    where ``phases(d)`` returns the closure phases phi_r = sum_{j<=r} w_j a_j
-    assembled from deviations.  Each phase moves with slope w_j in d_j for
-    j <= r, so the closure gradient is w * S and its Hessian
-    w_i w_j T[max(i, j)], with S and T the suffix sums of the signed cosine
-    and negated sine terms; their mask, w_i w_j and max(i, j) are built once.
+    where the closure phases phi_r = sum_{j<=r} w_j a_j are the base angles'
+    phases plus the class's ``phases`` of the deviations.  Each phase moves
+    with slope w_j in d_j for j <= r, so the closure gradient is w * S and
+    its Hessian w_i w_j T[max(i, j)], with S and T the suffix sums of the
+    signed cosine and negated sine terms; their mask, w_i w_j and max(i, j)
+    are built once.
     """
     n, dim = warm.n, len(warm.alphas)
     base = math.pi / n
     weights = np.array(warm.weights(dim))
+    base_phases = np.cumsum(weights[:-1]) * base
     coef = 4.0 * weights
     const = warm._CLOSURE
     index = np.arange(dim)
@@ -209,17 +203,17 @@ def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
         return np.zeros((dim, dim))
 
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
-        phi = phases(d)
+        phi = base_phases + warm.phases(d)
         val = math.fsum([const] + (signs * np.sin(phi)).tolist())
         return val, weights * _suffix_sums(signs * np.cos(phi), mask)
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
         # H = -sum_r (-1)^r sin(phi_r) v_r v_r^T with v_r = w at 0..r, 0 after
-        T = _suffix_sums(-signs * np.sin(phases(d)), mask)
+        T = _suffix_sums(-signs * np.sin(base_phases + warm.phases(d)), mask)
         return weight_products * T[gather]
 
     return NlpProblem(
-        family=family, n=n, dim=dim, base_angle=base,
+        family=warm._FAMILY, n=n, dim=dim, base_angle=base,
         objective=objective, objective_hessian=objective_hessian,
         eq_constraints=(angle_sum, closure),
         eq_hessians=(angle_sum_hessian, closure_hessian),
@@ -229,27 +223,12 @@ def _build_problem(family: str, warm: AngleParamB | AngleParamQ,
 
 def build_b_problem(n: int) -> NlpProblem:
     """Perimeter problem of the cycle-plus-pendants family (n/4+1 angles)."""
-    warm = b_angles(n)  # also rejects n other than 2^s >= 8
-    m = n // 4
-    odd = (2.0 * np.arange(1, m + 1) - 1.0) * (math.pi / n)
-
-    def phases(d: np.ndarray) -> np.ndarray:
-        # phi_r = a_0 + 2 sum_{1<=j<=r} a_j = (2r+1) pi/n + deviations, r < m
-        return odd + (d[0] + 2.0 * np.concatenate(([0.0], np.cumsum(d[1:m]))))
-
-    return _build_problem("b", warm, phases)
+    return _build_problem(b_angles(n))  # b_angles rejects n other than 2^s >= 8
 
 
 def build_q_problem(n: int) -> NlpProblem:
     """Perimeter problem of the odd-cycle family (n/2 angles)."""
-    warm = q_angles(n)  # also rejects n other than 2^s >= 4
-    steps = np.arange(1, n // 2) * (math.pi / n)
-
-    def phases(d: np.ndarray) -> np.ndarray:
-        # phi_r = A_r = a_0 + .. + a_r = (r+1) pi/n + deviations, r < n/2 - 1
-        return steps + np.cumsum(d)[:-1]
-
-    return _build_problem("q", warm, phases)
+    return _build_problem(q_angles(n))  # q_angles rejects n other than 2^s >= 4
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +371,20 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
     return report
 
 
-def certify(report: SolveReport, n: int, family: str) -> MetricsReport:
-    """Rebuild the polygon from a report's angles and revalidate it.
+def certify(report: SolveReport) -> MetricsReport:
+    """Rebuild the polygon of the report's family and n from its angles and
+    revalidate it.
 
     The rebuild rejects non-convex polygons; this checks the unit-diameter
     bound and that the edge-sum perimeter matches the objective to 1e-10.
     """
     if not report.converged:
         raise CertificationError("cannot certify a non-converged report")
+    angle_class = {"b": AngleParamB, "q": AngleParamQ}.get(report.family)
+    if angle_class is None:
+        raise CertificationError(f"unknown family {report.family!r}")
     try:
-        if family == "b":
-            poly = from_angles_b(AngleParamB(n, report.angles))
-        elif family == "q":
-            poly = from_angles_q(AngleParamQ(n, report.angles))
-        else:
-            raise CertificationError(f"unknown family {family!r}")
+        poly = _from_angles(angle_class(report.n, report.angles))
     except ValueError as exc:
         raise CertificationError(f"angle reconstruction failed: {exc}") from exc
     metrics = measure(poly)

@@ -220,6 +220,15 @@ def test_gap_constants_against_limits_at_4096():
         assert gap_constants(law, 4096) == pytest.approx(limit, rel=0.02)
 
 
+def test_gap_constants_accepts_exactly_the_gap_law_keys():
+    for law, (power, limit) in GAP_LAWS.items():
+        assert abs(gap_constants(law, 4096) / limit - 1.0) <= 0.02
+    for key in ("b", "b-area", "b-hat-perimeter", "regular-hat-perimeter",
+                "tamvakis-width", "q-hat-width", "heptagonal-width", "", "b-perimeter "):
+        with pytest.raises(UnknownFamilyError):
+            gap_constants(key, 4096)
+
+
 def test_gap_constants_against_direct_differences_at_small_n():
     # at small n the raw differences are still well-conditioned
     for n, law, bound_value in (

@@ -2,7 +2,11 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -694,6 +698,8 @@ def test_non_finite_params_are_a_data_error_in_every_reader(tmp_path, capsys):
     ["table", "--id", "3", "--n", str(2 ** 256)],
     ["table", "--id", "6", "--n", "6"],
     ["table", "--id", "1", "--n", "8,x"],
+    ["table", "--id", "1", "--n", ",,"],
+    ["table", "--id", "1", "--digits", "-1"],
     ["optimize", "--problem", "b", "--n", "4"],
     ["optimize", "--problem", "q", "--n", "6"],
     ["verify", "--n-max", "12"],
@@ -706,3 +712,35 @@ def test_bad_invocations_exit_1_or_2_with_one_error_line(tmp_path, capsys, argv)
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert code in (EXIT_CHECK, EXIT_USAGE) and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", ",,"], "bad n list ',,'"),
+    (["--n", ""], "bad n list ''"),
+    (["--digits", "-1"], "--digits must be >= 0, got -1"),
+])
+def test_table_refuses_an_empty_n_list_and_negative_digits(capsys, argv, message):
+    assert run(capsys, "table", "--id", "1", *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def _cap_address_space():
+    cap = 1536 * 2 ** 20  # 1.5 GB, far below the terabytes asked for
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("argv", [["build", "--family", "b"], ["optimize", "--problem", "q"]])
+def test_an_impossible_allocation_fails_at_once(argv):
+    # the 2^38 (b) or 2^39 (q) analytic angles at n = 2^40 are one array, so
+    # the command asks for them in one allocation and fails, never growing
+    # towards the cap; it runs in a child process under the cap only
+    src = os.path.dirname(os.path.dirname(bounds.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "smallpoly.cli", *argv, "--n", str(2 ** 40)],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (EXIT_CHECK, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 5.0

@@ -289,12 +289,12 @@ def test_solver_config_from_json_rejects_bad_values(text):
 
 def test_certify_accepts_converged_reports():
     report = solve(build_b_problem(8))
-    metrics = certify(report, 8, "b")
+    metrics = certify(report)
     assert metrics.perimeter == pytest.approx(report.objective, abs=1e-10)
     assert metrics.width == pytest.approx(0.9764, abs=5e-5)
     assert metrics.diameter <= 1 + 1e-9
     qreport = solve(build_q_problem(4))
-    qmetrics = certify(qreport, 4, "q")
+    qmetrics = certify(qreport)
     assert qmetrics.perimeter == pytest.approx(3.0353, abs=5e-5)
     assert qmetrics.width == pytest.approx(0.8660, abs=5e-5)
 
@@ -305,12 +305,12 @@ def test_certify_rejects_tampered_report():
     angles[0] += 0.01
     tampered = dataclasses.replace(report, angles=tuple(angles))
     with pytest.raises(CertificationError):
-        certify(tampered, 8, "b")
+        certify(tampered)
     unconverged = dataclasses.replace(report, converged=False)
     with pytest.raises(CertificationError):
-        certify(unconverged, 8, "b")
+        certify(unconverged)
     with pytest.raises(CertificationError):
-        certify(report, 8, "x")
+        certify(dataclasses.replace(report, family="x"))
 
 
 def test_report_json_round_trip():
@@ -384,7 +384,7 @@ def test_large_default_solve_is_certified_from_the_first_start(builder, n):
     assert report.converged
     assert report.starts_used == 1
     assert report.iterations <= 4
-    certify(report, n, report.family)
+    certify(report)
 
 
 @pytest.mark.parametrize("builder,n", [
