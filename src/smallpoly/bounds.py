@@ -141,12 +141,6 @@ def q_alternation(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _regular(n: int) -> tuple[float, float]:
-    if n % 2 == 1:
-        return 2 * n * math.sin(PI / (2 * n)), math.cos(PI / (2 * n))
-    return n * math.sin(PI / n), math.cos(PI / n)
-
-
 def _regular_plus(n: int) -> tuple[float, float]:
     half = PI / (2 * n - 2)
     L = (2 * n - 2) * math.sin(half) + 4 * math.sin(PI / (4 * n - 4)) - 2 * math.sin(half)
@@ -167,49 +161,38 @@ def _tamvakis(n: int) -> tuple[float, float]:
 
 def _alternating(offset: float, n: int) -> tuple[float, float]:
     """Perimeter 2n sin(pi/2n) cos(offset/2) and width cos(pi/2n + offset/2)
-    of the member with angles pi/n +- offset (b and q)."""
+    of the member with angles pi/n +- offset: b, q, and the regular and
+    Reuleaux polygons (offset pi/n for the even regular n-gon, else 0)."""
     L = 2 * n * math.sin(PI / (2 * n)) * math.cos(offset / 2)
     W = math.cos(PI / (2 * n) + offset / 2)
     return L, W
 
 
-def _regular_hat(n: int) -> tuple[float, float]:
-    if n % 2 == 1:
-        w = 1.0 / (2 * n * math.tan(PI / (2 * n)))
-    else:
-        w = 1.0 / (n * math.tan(PI / n))
-    return 1.0, w
-
-
-def _b_hat(n: int) -> tuple[float, float]:
-    beta = b_alternation(n)
-    w = (1.0 / (2 * n)) * (1.0 / math.tan(PI / (2 * n)) - math.tan(beta / 2))
-    return 1.0, w
-
-
 _CLOSED_FORMS = {
-    "regular": _regular,
+    "regular": lambda n: _alternating(0.0 if n % 2 else PI / n, n),
     "regular-plus": _regular_plus,
-    "reuleaux": lambda n: (2 * n * math.sin(PI / (2 * n)), math.cos(PI / (2 * n))),
+    "reuleaux": lambda n: _alternating(0.0, n),
     "tamvakis": _tamvakis,
     "b": lambda n: _alternating(b_alternation(n), n),
     "q": lambda n: _alternating(q_alternation(n), n),
-    "regular-hat": _regular_hat,
-    "b-hat": _b_hat,
 }
+_UNIT_PERIMETER = ("regular-hat", "b-hat")
 
 
 def closed_form(family: str, n: int, m: int | None = None) -> tuple[float, float]:
     """Analytic (perimeter, width) of a family member.
 
-    The unit-perimeter variants return ``(1.0, w)``.  ``m`` only enters the
-    ``reuleaux`` family's n rule; its perimeter and width depend on n alone.
+    The unit-perimeter variants return ``(1.0, W / L)`` of their base family.
+    ``m`` only enters the ``reuleaux`` family's n rule; its perimeter and
+    width depend on n alone.
     """
     key = str(family)
-    if key not in _CLOSED_FORMS:
+    base = key.removesuffix("-hat")
+    if key not in _CLOSED_FORMS and key not in _UNIT_PERIMETER:
         raise UnknownFamilyError(f"no closed form for family {family!r}")
-    require_n(key.removesuffix("-hat"), n, m)
-    return _CLOSED_FORMS[key](n)
+    require_n(base, n, m)
+    L, W = _CLOSED_FORMS[base](n)
+    return (L, W) if key == base else (1.0, W / L)
 
 
 # ---------------------------------------------------------------------------

@@ -449,9 +449,13 @@ def _orderings_ok(n: int) -> tuple[bool, str]:
     ub = bounds.upper_bounds(n).ubL
     wm = bounds.mossinghoff_width(n)
     # ub - L_B is about pi^7/(32 n^6), below one ulp of pi from n = 1024 on,
-    # so its sign comes from the cancellation-free gap product
-    ok = (lr < lb and bounds.gap_constants("b-perimeter", n) > 0
-          and lrp < lq and wq < wrp and wrp >= max(wt, wm))
+    # and L_R+ vs L_Q and W_Q vs W_R+ round to equal doubles from n = 2^18 on,
+    # so these signs come from the cancellation-free gaps to the bounds
+    gap = bounds.gap_constants
+    ok = (lr < lb and gap("b-perimeter", n) > 0
+          and gap("q-perimeter", n) / n ** 4 < gap("regular-plus-perimeter", n) / n ** 3
+          and gap("regular-plus-width", n) / n ** 3 < gap("q-width", n) / n ** 3
+          and wrp >= max(wt, wm))
     return ok, (f"L_R={lr} L_B={lb} ubL={ub} L_R+={lrp} L_Q={lq} "
                 f"W_Q={wq} W_R+={wrp} W_T={wt} W_M={wm}")
 
@@ -480,11 +484,10 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None,
-                        help="override table decimal digits")
-    common.add_argument("--out", default=None, help="output file (default stdout)")
-    common.add_argument("--config", default=None,
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default stdout)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
                         help="solver config: inline JSON or a path to a JSON file")
 
     parser = argparse.ArgumentParser(
@@ -493,33 +496,35 @@ def _make_parser() -> argparse.ArgumentParser:
                     "extremal unit-diameter polygons.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", parents=[common],
+    p_build = sub.add_parser("build", parents=[out],
                              help="construct a family polygon as JSON")
     p_build.add_argument("--family", required=True, choices=sorted(_BUILDERS))
     p_build.add_argument("--n", type=int, required=True)
     p_build.add_argument("--m", type=int, default=None)
 
-    p_measure = sub.add_parser("measure", parents=[common],
+    p_measure = sub.add_parser("measure", parents=[out],
                                help="metrics report for a polygon JSON file")
     p_measure.add_argument("in_path")
 
-    p_table = sub.add_parser("table", parents=[common],
+    p_table = sub.add_parser("table", parents=[out, config],
                              help="emit one of the six reference tables as CSV")
     p_table.add_argument("--id", required=True, dest="table_id",
                          choices=TABLE_IDS + tuple(str(i) for i in range(1, 7)))
     p_table.add_argument("--n", default=None,
                          help="comma-separated vertex counts (default 8,16,32,64,128)")
+    p_table.add_argument("--digits", type=int, default=None,
+                         help="override table decimal digits")
 
-    p_render = sub.add_parser("render", parents=[common],
-                              help="render a polygon JSON file to SVG")
+    p_render = sub.add_parser("render", help="render a polygon JSON file to SVG")
     p_render.add_argument("in_path")
+    p_render.add_argument("--out", required=True, help="output SVG file")
 
-    p_opt = sub.add_parser("optimize", parents=[common],
+    p_opt = sub.add_parser("optimize", parents=[out, config],
                            help="solve a maximal-perimeter problem")
     p_opt.add_argument("--problem", required=True, choices=("b", "q"))
     p_opt.add_argument("--n", type=int, required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[out],
                               help="run the full invariant suite")
     p_verify.add_argument("--n-max", type=int, default=128)
     p_verify.add_argument("--polygon", action="append", default=[],
@@ -570,8 +575,6 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "render":
         with open(args.in_path, "r", encoding="utf-8") as fh:
             poly = polygon_from_json(fh.read())
-        if args.out is None:
-            raise UsageError("render requires --out")
         _emit(render_svg(poly), args.out)
         return EXIT_OK
     if args.command == "optimize":

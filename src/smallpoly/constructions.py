@@ -158,11 +158,13 @@ def tamvakis(n: int) -> SmallPolygon:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _AngleParam:
     """An angle sequence (a_0 .. a_{dim-1}) driving one diameter-graph family.
 
-    Both families state feasibility in one form: the weighted angle sum
+    ``alphas`` is a read-only 1-D float64 array owned by the parameter; two
+    parameters are equal when their class, n and angles are.  Both families
+    state feasibility in one form: the weighted angle sum
     sum w_k a_k = pi/2 (symmetry), the half-cycle closure
     const + sum_{r=0}^{dim-2} (-1)^r sin(phi_r) = 0 over the phases
     phi_r = sum_{j<=r} w_j a_j, and the boxes 0 <= a_k <= upper_k.  Each
@@ -175,47 +177,54 @@ class _AngleParam:
     """
 
     n: int
-    alphas: tuple[float, ...]
+    alphas: np.ndarray
 
     def __init__(self, n: int, alphas: Sequence[float]):
+        a = np.array(alphas, dtype=np.float64)
+        if a.ndim != 1:
+            raise InfeasibleAnglesError(f"angles must be one sequence, got shape {a.shape}")
+        a.flags.writeable = False
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in alphas))
+        object.__setattr__(self, "alphas", a)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.alphas, other.alphas)
 
     @classmethod
-    def weights(cls, dim: int) -> list[float]:
+    def weights(cls, dim: int) -> np.ndarray:
         """Angle-sum weights of ``dim`` angles."""
         first, middle, last = cls._WEIGHTS
-        return [first] + [middle] * (dim - 2) + [last]
+        return np.concatenate(([first], np.full(dim - 2, middle), [last]))
 
     @classmethod
     def upper(cls, n: int) -> np.ndarray:
         """Upper angle boxes at n; every lower box is 0."""
         first, middle, last = cls._UPPER
-        return np.array([first] + [middle] * (cls._dim(n) - 2) + [last])
+        return np.concatenate(([first], np.full(cls._dim(n) - 2, middle), [last]))
 
     def angle_sum_residual(self) -> float:
-        w = self.weights(len(self.alphas))
-        return math.fsum(wi * ai for wi, ai in zip(w, self.alphas)) - math.pi / 2
+        products = self.weights(len(self.alphas)) * self.alphas
+        return math.fsum(products.tolist()) - math.pi / 2
 
     def closure_residual(self) -> float:
         terms = _steps(self.phases(self.alphas))[:, 0]  # the walk's x increments
         return math.fsum([self._CLOSURE] + terms.tolist())
 
-    def validate(self, sum_tol: float = ANGLE_SUM_TOL,
-                 closure_tol: float = CLOSURE_TOL) -> bool:
-        """Raise InfeasibleAnglesError unless feasible within the tolerances; True if strictly so."""
+    def validate(self) -> bool:
+        """Raise InfeasibleAnglesError unless feasible to ``ROUNDED_TOL``; True if
+        strictly so, its residuals within ``ANGLE_SUM_TOL`` and ``CLOSURE_TOL``."""
         require_n(self._FAMILY, self.n, error=InfeasibleAnglesError)
-        dim = self._dim(self.n)
-        if len(self.alphas) != dim:
-            raise InfeasibleAnglesError(
-                f"need {dim} angles for n={self.n}, got {len(self.alphas)}")
-        a, hi = np.array(self.alphas), self.upper(self.n)
+        a, hi = self.alphas, self.upper(self.n)
+        if len(a) != len(hi):
+            raise InfeasibleAnglesError(f"need {len(hi)} angles for n={self.n}, got {len(a)}")
         k = int(np.argmin((a >= -BOX_TOL) & (a <= hi + BOX_TOL)))  # the first outside, if any
         if not -BOX_TOL <= a[k] <= hi[k] + BOX_TOL:
-            raise InfeasibleAnglesError(f"angle {k} = {self.alphas[k]} outside [0, {hi[k]}]")
+            raise InfeasibleAnglesError(f"angle {k} = {a[k]} outside [0, {hi[k]}]")
         rs = self.angle_sum_residual()
         rc = self.closure_residual()
-        if abs(rs) > sum_tol or abs(rc) > closure_tol:
+        if abs(rs) > ROUNDED_TOL or abs(rc) > ROUNDED_TOL:
             raise InfeasibleAnglesError(
                 f"infeasible angles: sum residual {rs:.3e}, closure residual {rc:.3e}",
                 angle_sum_residual=rs, closure_residual=rc)
@@ -239,9 +248,8 @@ class AngleParamB(_AngleParam):
         return n // 4 + 1
 
     @staticmethod
-    def phases(alphas: Sequence[float]) -> np.ndarray:
+    def phases(a: np.ndarray) -> np.ndarray:
         """phi_r = a_0 + 2 (a_1 + .. + a_r) for r < n/4."""
-        a = np.asarray(alphas, dtype=float)
         return a[0] + np.concatenate(([0.0], np.cumsum(2.0 * a[1:-1])))
 
 
@@ -262,9 +270,9 @@ class AngleParamQ(_AngleParam):
         return n // 2
 
     @staticmethod
-    def phases(alphas: Sequence[float]) -> np.ndarray:
+    def phases(a: np.ndarray) -> np.ndarray:
         """phi_r = a_0 + .. + a_r for r < n/2 - 1."""
-        return np.cumsum(np.asarray(alphas, dtype=float)[:-1])
+        return np.cumsum(a[:-1])
 
 
 def _alternating_angles(n: int, offset: float, dim: int) -> np.ndarray:
@@ -308,23 +316,22 @@ def _mirror(rows: np.ndarray) -> np.ndarray:
     return rows[::-1] * np.array([-1.0, 1.0])
 
 
-def _b_vertices(n: int, alphas: Sequence[float]) -> np.ndarray:
+def _b_vertices(n: int, a: np.ndarray) -> np.ndarray:
     """Cycle-plus-pendants rows: the walk (vertices 0 .. n/4), its mirror,
     the apex, and the pendant ends, one step back from walk vertex k along
     phi_{k-1} + a_k, with their mirror; the vertex set is exactly symmetric.
     """
     m = n // 4
-    a = np.asarray(alphas, dtype=float)
     phi = AngleParamB.phases(a)
     walk = _walk(phi)
     pendants = walk[1:m] - _steps(phi[:-1] + a[1:m])
     return np.concatenate((walk, _mirror(walk[1:]), [(0.0, 1.0)], pendants, _mirror(pendants)))
 
 
-def _q_vertices(n: int, alphas: Sequence[float]) -> np.ndarray:
+def _q_vertices(n: int, a: np.ndarray) -> np.ndarray:
     """Odd-cycle rows: the walk (vertices 0 .. n/2 - 1, each step turning by
     pi + a_k), its mirror and the pendant apex."""
-    walk = _walk(AngleParamQ.phases(alphas))
+    walk = _walk(AngleParamQ.phases(a))
     return np.concatenate((walk, _mirror(walk[1:]), [(0.0, 1.0)]))
 
 
@@ -336,8 +343,8 @@ def _ordered_vertices(param: _AngleParam) -> np.ndarray:
 
 def _from_angles(param: _AngleParam) -> SmallPolygon:
     """The polygon of :func:`from_angles_b` / :func:`from_angles_q`, by ``param``'s family."""
-    strict = param.validate(sum_tol=ROUNDED_TOL, closure_tol=ROUNDED_TOL)
-    params = {"variant": param._FAMILY, "n": param.n, "alphas": list(param.alphas)}
+    strict = param.validate()
+    params = {"variant": param._FAMILY, "n": param.n, "alphas": param.alphas.tolist()}
     poly = SmallPolygon.from_coords(_ordered_vertices(param), Family.FROM_ANGLES, params)
     if strict:
         validate_small_polygon(poly)
@@ -406,6 +413,12 @@ def _cycle_turns(p: SmallPolygon, count: int) -> np.ndarray:
                       u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
 
 
+def _extract_angles(cls: type[_AngleParam], p: SmallPolygon) -> _AngleParam:
+    """Each turn along the diameter cycle divided by its angle-sum weight."""
+    dim = cls._dim(p.n)
+    return cls(p.n, _cycle_turns(p, dim - 1) / cls.weights(dim))
+
+
 def extract_angles_b(p: SmallPolygon) -> AngleParamB:
     """Measure the defining angles of a cycle-plus-pendants polygon.
 
@@ -413,12 +426,9 @@ def extract_angles_b(p: SmallPolygon) -> AngleParamB:
     turn at each interior cycle vertex (its pendant splits the turn into two
     angles a_k), then the full turn at vertex n/4.
     """
-    m = p.n // 4
-    turns = _cycle_turns(p, m)
-    turns[1:m] *= 0.5
-    return AngleParamB(p.n, turns)
+    return _extract_angles(AngleParamB, p)
 
 
 def extract_angles_q(p: SmallPolygon) -> AngleParamQ:
     """Measure the defining angles of an odd-cycle polygon: the full turns."""
-    return AngleParamQ(p.n, _cycle_turns(p, p.n // 2 - 1))
+    return _extract_angles(AngleParamQ, p)

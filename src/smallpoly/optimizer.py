@@ -176,7 +176,7 @@ def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
     """
     n, dim = warm.n, len(warm.alphas)
     base = math.pi / n
-    weights = np.array(warm.weights(dim))
+    weights = warm.weights(dim)
     base_phases = np.cumsum(weights[:-1]) * base
     coef = 4.0 * weights
     const = warm._CLOSURE
@@ -217,7 +217,7 @@ def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
         objective=objective, objective_hessian=objective_hessian,
         eq_constraints=(angle_sum, closure),
         eq_hessians=(angle_sum_hessian, closure_hessian),
-        upper=warm.upper(n), warm_start=np.array(warm.alphas),
+        upper=warm.upper(n), warm_start=warm.alphas,
     )
 
 
@@ -358,7 +358,7 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
         failed.append("reduced Hessian not negative definite")
     report = SolveReport(
         family=problem.family, n=problem.n,
-        angles=tuple(float(a) for a in problem.base_angle + d),
+        angles=tuple((problem.base_angle + d).tolist()),
         objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
         iterations=iters, starts_used=1, converged=not failed,
     )

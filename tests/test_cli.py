@@ -511,6 +511,12 @@ def test_orderings_binary64_signs_match_mpmath(n):
     assert _orderings_ok(n)[0]
 
 
+@pytest.mark.parametrize("s", range(3, 21))
+def test_orderings_hold_where_binary64_values_draw_level(s):
+    # L_R+ < L_Q and W_Q < W_R+ tie in binary64 from 2^18 on
+    assert _orderings_ok(2 ** s)[0]
+
+
 def test_verify_passes_at_4096(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "4096")
     assert code == EXIT_OK
@@ -712,6 +718,21 @@ def test_bad_invocations_exit_1_or_2_with_one_error_line(tmp_path, capsys, argv)
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert code in (EXIT_CHECK, EXIT_USAGE) and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "b", "--n", "8", "--digits", "3"],
+    ["build", "--family", "b", "--n", "8", "--config", '{"bogus": 1}'],
+    ["measure", "{missing}", "--digits", "3"],
+    ["render", "{missing}", "--config", "{}", "--out", "{svg}"],
+    ["render", "{missing}"],
+    ["verify", "--n-max", "8", "--config", "{}"],
+], ids=lambda argv: " ".join(argv)[:40])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv):
+    paths = {"{missing}": tmp_path / "missing.json", "{svg}": tmp_path / "out.svg"}
+    code, out, err = run(capsys, *[str(paths.get(arg, arg)) for arg in argv])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "usage:" in err
 
 
 @pytest.mark.parametrize("argv,message", [

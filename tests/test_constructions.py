@@ -325,6 +325,52 @@ def test_angle_param_residual_helpers():
     assert abs(qparam.closure_residual()) <= 1e-14
 
 
+@pytest.mark.parametrize("make", [
+    lambda: b_angles(64), lambda: q_angles(64),
+    lambda: extract_angles_b(b_family(64)), lambda: extract_angles_q(q_family(64)),
+], ids=["b_angles", "q_angles", "extract_angles_b", "extract_angles_q"])
+def test_angles_are_one_read_only_float64_array(make):
+    alphas = make().alphas
+    assert isinstance(alphas, np.ndarray)
+    assert alphas.ndim == 1 and alphas.dtype == np.float64
+    assert not alphas.flags.writeable
+    with pytest.raises(ValueError):
+        alphas[0] = 0.0
+
+
+def test_angle_param_owns_its_angles_and_refuses_2d_input():
+    source = b_angles(8).alphas.copy()
+    param = AngleParamB(8, source)
+    source[0] = 0.0
+    assert param == b_angles(8)
+    with pytest.raises(InfeasibleAnglesError):
+        AngleParamB(8, [list(source)])
+    with pytest.raises(InfeasibleAnglesError):
+        AngleParamQ(4, 0.5)
+
+
+def test_angle_params_compare_by_value():
+    a = b_angles(8).alphas
+    assert AngleParamB(8, list(a)) == b_angles(8)
+    moved = a.copy()
+    moved[1] = np.nextafter(moved[1], 1.0)
+    assert AngleParamB(8, moved) != b_angles(8)
+    assert AngleParamB(16, a) != b_angles(8)
+    assert AngleParamQ(8, a) != AngleParamB(8, a)
+    with pytest.raises(TypeError):
+        hash(b_angles(8))
+
+
+def test_validate_tells_rounding_level_from_strict_feasibility():
+    assert b_angles(8).validate() and q_angles(8).validate()
+    a = b_angles(8).alphas.copy()
+    a[1] += 1e-8  # sum residual 2e-8: above ANGLE_SUM_TOL, within ROUNDED_TOL
+    assert AngleParamB(8, a).validate() is False
+    a[1] += 1e-3
+    with pytest.raises(InfeasibleAnglesError):
+        AngleParamB(8, a).validate()
+
+
 def _atan2_ordered(vertices):
     return np.array(atan2_boundary_order(vertices))
 
@@ -341,8 +387,8 @@ def test_boundary_order_matches_the_atan2_sort(n):
 
 @pytest.mark.parametrize("n", POWERS_B)
 def test_boundary_order_matches_the_atan2_sort_on_solved_angles(n):
-    b_alphas = solve(build_b_problem(n)).angles
-    q_alphas = solve(build_q_problem(n)).angles
+    b_alphas = np.asarray(solve(build_b_problem(n)).angles)
+    q_alphas = np.asarray(solve(build_q_problem(n)).angles)
     b_ref = _atan2_ordered(_b_vertices(n, b_alphas))
     q_ref = _atan2_ordered(_q_vertices(n, q_alphas))
     assert from_angles_b(AngleParamB(n, b_alphas)).xy.tobytes() == b_ref.tobytes()
@@ -364,7 +410,7 @@ def test_phase_walk_equals_the_vertex_loop_byte_for_byte(family, n):
         sequences.append(solve(build(n)).angles)
     if n in published:  # six-digit data, feasible only to rounding
         sequences.append(published[n])
-    for alphas in sequences:
+    for alphas in map(np.asarray, sequences):
         assert walk(n, alphas).tobytes() == np.array(loop(n, alphas)).tobytes()
 
 
