@@ -1,6 +1,7 @@
 """Closed-form perimeters, widths, upper bounds and asymptotic gap constants.
 
-Pure scalar functions of the vertex count.  These are the analytic
+Pure scalar functions of the vertex count, and the perimeter gap of an
+angle sequence to its bound (:func:`perimeter_gap`).  These are the analytic
 counterparts of the coordinate-level metrics in :mod:`smallpoly.geometry`;
 tests require the two routes to agree to 1e-10 on every constructed family.
 
@@ -16,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+
+import numpy as np
 
 PI = math.pi
 
@@ -264,6 +267,45 @@ def _chord_deficits(arcs: list[tuple[Fraction, Fraction]]) -> float:
             return total
         m += 1
         scale *= -PI * PI / (4 * (2 * m) * (2 * m + 1))
+
+
+def _sine_deficits(e: np.ndarray) -> np.ndarray:
+    """e - sin e for each |e| <= 1, by its series e^3/3! - e^5/5! + ...
+
+    The direct difference cancels all but the cubic part.  The series adds
+    terms until the last one added is below 1e-17 of the first at the
+    largest |e|, and so at every entry.
+    """
+    e2 = e * e
+    term = e * e2 / 6
+    total, k, rel, worst = term, 2, 1.0, float(np.max(e2))
+    while rel > 1e-17:
+        ratio = (2 * k) * (2 * k + 1)
+        term = term * (-e2 / ratio)
+        total = total + term
+        rel *= worst / ratio
+        k += 1
+    return total
+
+
+def perimeter_gap(n: int, weights: np.ndarray, deviations: np.ndarray) -> float:
+    """ub_L(n) - 4 sum w_k sin(a_k/2) at the angles a = pi/n + d, on the
+    angle-sum plane sum w_k d_k = 0, without cancellation.
+
+    With h = pi/2n and e = d/2, sin(h + e) = sin h cos e + cos h sin e.  The
+    weights of b and q sum to n/2, so the constant terms make ub_L and the
+    linear ones vanish on the plane, leaving
+
+        4 sum w_k [sin h * 2 sin^2(e_k/2) + cos h * (e_k - sin e_k)].
+
+    Off the plane this is ub_L - L + 2 cos h * sum w_k d_k.
+    """
+    half = PI / (2 * n)
+    e = deviations / 2
+    # two sums: adding the parts term by term would round away the smaller
+    chords = 8 * math.sin(half) * weights * np.sin(e / 2) ** 2
+    sines = 4 * math.cos(half) * weights * _sine_deficits(e)
+    return math.fsum(chords.tolist() + sines.tolist())
 
 
 def gap_constants(family: str, n: int) -> float:

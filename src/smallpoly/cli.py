@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bounds
 from .constructions import (
+    AngleParamB,
     b_family,
     extract_angles_b,
     extract_angles_q,
@@ -263,15 +264,16 @@ def table_csv(spec: TableSpec, digits: int | None = None,
             dec = _row_decimals(n, digits)
             lb, _ = bounds.closed_form("b", n)
             ub = bounds.upper_bounds(n).ubL
-            if not ub - lb > 0.0:  # pi^7/(32 n^6) is below one ulp of pi from n = 1024
-                gap = bounds.gap_constants("b-perimeter", n) / n ** 6
-                raise CertificationError(f"T4 ratio at n={n} is not computable in binary64: "
-                                         f"ub_L - L_b = {gap:.3g} rounds to {ub - lb!r}")
             lq = solve(build_q_problem(n), config).objective
-            lbo = solve(build_b_problem(n), config).objective
-            ratio = (lbo - lb) / (ub - lb)
+            b_opt = solve(build_b_problem(n), config)
+            # (L_b_opt - L_b) / (ub_L - L_b) = 1 - (ub_L - L_b_opt) / (ub_L - L_b),
+            # both gaps free of cancellation (ub_L - L_b is below one ulp of pi
+            # from n = 1024 on)
+            d = np.array(b_opt.angles) - math.pi / n
+            gap = bounds.perimeter_gap(n, AngleParamB.weights(len(d)), d)
+            ratio = 1 - gap / (bounds.gap_constants("b-perimeter", n) / n ** 6)
             out.append(",".join([str(n), _fmt(lq, dec10), _fmt(lb, dec),
-                                 _fmt(lbo, dec), _fmt(ub, dec), _fmt(ratio, 4)]))
+                                 _fmt(b_opt.objective, dec), _fmt(ub, dec), _fmt(ratio, 4)]))
     elif tid in ("T5_b_angles", "T6_q_angles"):
         sig = digits if digits is not None else 6
         out.append("n,pi_over_n,k,alpha")

@@ -11,21 +11,20 @@ with phi_r = sum_{j<=r} w_j a_j.  "b" has n/4+1 angles, weights
 -1/2.  :func:`_build_problem` writes the program once and reads the rest,
 phases included, from the family's angle class.
 
-The solver runs Newton's method on the KKT system (stationarity plus
-feasibility; Nocedal & Wright, *Numerical Optimization*, section 18.1)
-from the problem's analytic warm start, the family member built by
-:mod:`smallpoly.constructions`, with multipliers from a least-squares fit
-there.  A report counts as converged only when its residuals are small and
-the reduced Hessian of the Lagrangian on the null space of the active
-constraints is negative definite (the second-order sufficient condition,
-section 12.5), so a converged report is a strict local maximum.  The warm
-start's perimeter is within O(1/n^6) (b) and O(1/n^4) (q) of the optimum's,
-close enough for Newton's local quadratic convergence, so each problem gets
-one Newton run.  All computation happens in deviation variables
-d_k = a_k - pi/n: near the optima every angle clusters at pi/n, so
-deviations keep the linear constraint assembly exact and the Hessians well
-scaled.  The solve uses no RNG, so identical configurations reproduce
-bit-identical reports.
+The solver runs Newton's method on the KKT system (Nocedal & Wright,
+*Numerical Optimization*, section 18.1) once, from the analytic warm start
+(the family member of :mod:`smallpoly.constructions`, within O(1/n^6) (b)
+and O(1/n^4) (q) of the optimum's perimeter), in the deviations
+d_k = a_k - pi/n.  Steps are taken in the phases psi = cumsum(w * d), where
+the closure's Hessian is diagonal, the objective's tridiagonal and the
+angle sum is psi_last alone: eliminating it leaves a tridiagonal system
+bordered by the closure row, one LDL^T pass and a scalar Schur complement,
+O(dim) per iteration.  A report counts as converged only when its
+residuals are small and the reduced Hessian of the Lagrangian on the null
+space of the active constraints is negative definite (section 12.5), a
+strict local maximum; the same factorization's inertia decides that
+(theorem 16.3; Gould, Math. Programming 32, 1985).  The solve uses no RNG,
+so identical configurations reproduce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from .bounds import perimeter_gap
 from .constructions import AngleParamB, AngleParamQ, _from_angles, b_angles, q_angles
 from .geometry import DIAMETER_TOL, MetricsReport, measure
 
@@ -55,17 +55,20 @@ class NonConvergenceError(RuntimeError):
 
 
 class CertificationError(RuntimeError):
-    """A report failed revalidation, or a result has no binary64 value."""
+    """A report failed revalidation."""
 
 
 @dataclass(frozen=True)
 class NlpProblem:
     """One of the two perimeter maximization problems.
 
-    The callables operate on deviation vectors d = angles - base_angle and
-    return value/gradient (and Hessian from the *_hessian companions).  The
-    solver never reads the zero Hessian of the linear angle sum.  Angles are
-    bounded below by 0; ``upper``/``warm_start`` are stored in angle space.
+    The callables take deviations d = angles - base_angle; ``objective``
+    and ``eq_constraints`` (the angle sum, with gradient w, and the closure)
+    return value and gradient in d.  Each Hessian callable returns its
+    Hessian's diagonal where that is diagonal: ``objective_hessian`` in d,
+    ``eq_hessians`` in the phases psi = cumsum(w * d) (zeros for the angle
+    sum, never read).  Angles are bounded below by 0; ``upper`` and
+    ``warm_start`` are stored in angle space.
     """
 
     family: str                   # "b" or "q"
@@ -145,34 +148,14 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def _suffix_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """S[r] = 0.0 + terms[r] + terms[r+1] + ..., for r = 0..len(terms).
-
-    With ``mask`` the strict upper triangle of a square of side len(terms)+1,
-    row r holds zeros, then terms[r:]; its sequential cumulative sum adds
-    them in ascending order, as a per-term loop would, so the result is
-    bitwise equal to such a loop (a reversed cumulative sum rounds
-    differently).  The last entry, an empty sum, is 0.0.
-    """
-    rows = np.where(mask, np.concatenate(([0.0], terms)), 0.0)
-    return np.cumsum(rows, axis=1)[:, -1]
-
-
 def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
-    """The perimeter problem of the family whose analytic member is ``warm``.
+    """The perimeter problem of the family whose analytic member is ``warm``,
+    with the weights, closure constant and boxes of its angle class.
 
-    With the family's weights w, closure constant and boxes (read from its
-    angle-parameter class), the problem is
-
-        max 4 sum w_k sin(a_k/2)  s.t.  sum w_k a_k = pi/2,
-        const + sum_{r<dim-1} (-1)^r sin(phi_r) = 0,  0 <= a_k <= upper_k,
-
-    where the closure phases phi_r = sum_{j<=r} w_j a_j are the base angles'
-    phases plus the class's ``phases`` of the deviations.  Each phase moves
-    with slope w_j in d_j for j <= r, so the closure gradient is w * S and
-    its Hessian w_i w_j T[max(i, j)], with S and T the suffix sums of the
-    signed cosine and negated sine terms; their mask, w_i w_j and max(i, j)
-    are built once.
+    The closure phases phi_r (r < dim-1) are the base angles' phases plus
+    the class's ``phases`` psi_r of the deviations, which move with slope
+    w_j in d_j for j <= r: the closure gradient is w times the suffix sums
+    of the signed cosines, its Hessian in psi the negated signed sines.
     """
     n, dim = warm.n, len(warm.alphas)
     base = math.pi / n
@@ -180,11 +163,7 @@ def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
     base_phases = np.cumsum(weights[:-1]) * base
     coef = 4.0 * weights
     const = warm._CLOSURE
-    index = np.arange(dim)
-    signs = (-1.0) ** index[:-1]
-    mask = np.triu(np.ones((dim, dim), dtype=bool), 1)
-    weight_products = np.outer(weights, weights)
-    gather = np.maximum.outer(index, index)
+    signs = (-1.0) ** np.arange(dim - 1)
 
     def objective(d: np.ndarray) -> tuple[float, np.ndarray]:
         a = base + d
@@ -192,25 +171,23 @@ def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
         return val, coef / 2 * np.cos(a / 2)
 
     def objective_hessian(d: np.ndarray) -> np.ndarray:
-        a = base + d
-        return np.diag(-coef / 4 * np.sin(a / 2))
+        return -coef / 4 * np.sin((base + d) / 2)
 
     def angle_sum(d: np.ndarray) -> tuple[float, np.ndarray]:
         # weighted base angles sum to pi/2 exactly, so only deviations remain
         return math.fsum((weights * d).tolist()), weights.copy()
 
     def angle_sum_hessian(d: np.ndarray) -> np.ndarray:
-        return np.zeros((dim, dim))
+        return np.zeros(dim)
 
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
         phi = base_phases + warm.phases(d)
         val = math.fsum([const] + (signs * np.sin(phi)).tolist())
-        return val, weights * _suffix_sums(signs * np.cos(phi), mask)
+        suffix = np.cumsum((signs * np.cos(phi))[::-1])[::-1]
+        return val, weights * np.append(suffix, 0.0)
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
-        # H = -sum_r (-1)^r sin(phi_r) v_r v_r^T with v_r = w at 0..r, 0 after
-        T = _suffix_sums(-signs * np.sin(base_phases + warm.phases(d)), mask)
-        return weight_products * T[gather]
+        return np.append(-signs * np.sin(base_phases + warm.phases(d)), 0.0)
 
     return NlpProblem(
         family=warm._FAMILY, n=n, dim=dim, base_angle=base,
@@ -233,63 +210,87 @@ def build_q_problem(n: int) -> NlpProblem:
 
 # ---------------------------------------------------------------------------
 # Solver internals.  Newton works in minimization form: F = -objective,
-# constraints c = 0, Lagrangian F - lam.c.
+# constraints c = 0, Lagrangian F - lam.c.  In the phases, d = M psi with
+# M = D_w^-1 times the first difference, and a gradient v in d is M^T v.
 # ---------------------------------------------------------------------------
-
-
-def _eval_constraints(problem: NlpProblem, d: np.ndarray):
-    vals, grads = zip(*(c(d) for c in problem.eq_constraints))
-    return np.array(vals), np.vstack(grads)
 
 
 def _evaluate(problem: NlpProblem, d: np.ndarray):
     f, gf = problem.objective(d)
-    c, J = _eval_constraints(problem, d)
-    return f, gf, c, J
+    vals, grads = zip(*(c(d) for c in problem.eq_constraints))
+    return f, gf, np.array(vals), np.array(grads)
+
+
+def _bordered(problem: NlpProblem, d: np.ndarray, w: np.ndarray, mult: float,
+              rows: np.ndarray):
+    """W = M^T (-H_f) M - mult H_c, and T = L D L^T, W less its last row and
+    column, factored without pivoting: returns W's diagonal and off-diagonal,
+    D, L's multipliers and L^-1 M^T ``rows``, or raises ZeroDivisionError at
+    a zero pivot.  With u = -objective_hessian / w^2 and t = eq_hessians[1],
+    W is tridiagonal: u_i + u_{i+1} - mult t_i on its diagonal, -u_{i+1} beside.
+    """
+    u = -problem.objective_hessian(d) / (w * w)
+    diag, off = u - mult * problem.eq_hessians[1](d), -u[1:]
+    diag[:-1] += u[1:]
+    piv, low = diag[:-1].tolist(), off[:-1].tolist()
+    q = rows / w
+    ys = (q[:, :-1] - q[:, 1:]).tolist()  # M^T rows, less the last phase
+    for i in range(1, len(piv)):
+        m = low[i - 1] / piv[i - 1]
+        piv[i] -= m * low[i - 1]
+        low[i - 1] = m
+    for y in ys:
+        for i in range(1, len(y)):
+            y[i] -= low[i - 1] * y[i - 1]
+    if not piv[-1]:
+        raise ZeroDivisionError("zero pivot")
+    return diag, off, np.array(piv), low, np.array(ys)
 
 
 def _newton_kkt(problem, d, lo, hi, max_iter):
     """Newton iterations on the stationarity + feasibility system.
 
-    The multipliers start from a least-squares fit at ``d``; each step solves
-    the full KKT matrix, is capped at 0.05 per coordinate to stay local, and
-    is clipped to the box.  Keeps the best iterate by KKT merit in case a
-    step overshoots.  Each iterate is evaluated once; returns the best
-    iterate, the iteration count and the best iterate's evaluation.  Each
-    iteration refills the blocks of one KKT matrix [[W, -J^T], [J, 0]].
+    The multipliers start from a least-squares fit at ``d``.  Each step
+    solves [[W, -J^T], [J, 0]] (p, dlam) = -(r_stat, c) in the phases: the
+    angle-sum row e_last fixes p_last = -c[0], the closure row g = M^T J[1]
+    ends in 0, and T p - mu g = b, g.p = -c[1] remain, b = -M^T r_stat less
+    W's coupling to p_last (in b's last entry, so added after forward
+    substitution); g^T T^-1 g gives mu and W's last row the angle-sum
+    multiplier's step.  Steps are capped at 0.05 per coordinate and clipped
+    to the box; the best iterate by KKT merit is kept, and a singular system
+    ends the run.  Returns the best iterate, the iteration count and the
+    best iterate's evaluation; each iterate is evaluated once.
     """
-    dim = problem.dim
     ev = _evaluate(problem, d)
     _, gf, c, J = ev
     lam = np.linalg.lstsq(J.T, -gf, rcond=None)[0]
-    kkt = np.zeros((dim + len(c), dim + len(c)))
     iters = 0
     norm = math.inf
     best = (math.inf, d, ev)
     for _ in range(max_iter + 1):
         _, gf, c, J = ev
         r_stat = -gf - J.T @ lam
-        merit = max(float(np.max(np.abs(r_stat))), float(np.max(np.abs(c))))
+        merit = float(max(np.abs(r_stat).max(), np.abs(c).max()))
         if merit < best[0]:
             best = (merit, d, ev)
         if merit <= 1e-14 or iters == max_iter or norm < STEP_TOL:
             break
-        # W = -objective_hessian - lam[1] closure_hessian (the angle sum is linear)
-        W = np.negative(problem.objective_hessian(d), out=kkt[:dim, :dim])
-        W -= lam[1] * problem.eq_hessians[1](d)
-        np.negative(J.T, out=kkt[:dim, dim:])
-        kkt[dim:, :dim] = J
-        rhs = np.concatenate((-r_stat, -c))
         try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        step = sol[:dim]
-        norm = float(np.max(np.abs(step)))
+            diag, off, piv, low, (yb, yg) = _bordered(problem, d, J[0], lam[1],
+                                                      np.array((-r_stat, J[1])))
+            yb[-1] += off[-1] * c[0]
+            mu = -float(c[1] + yg @ (yb / piv)) / float(yg @ (yg / piv))
+        except ZeroDivisionError:
+            break
+        p = ((yb + mu * yg) / piv).tolist() + [-c[0]]
+        for i in range(len(p) - 3, -1, -1):
+            p[i] -= low[i] * p[i + 1]
+        step = np.subtract(p, [0.0] + p[:-1]) / J[0]
+        norm = float(np.abs(step).max())
         if norm > 0.05:
             step = step * (0.05 / norm)
-        d = np.clip(d + step, lo, hi)
-        lam = lam + sol[dim:]
+        d = np.minimum(np.maximum(d + step, lo), hi)
+        lam = lam + (off[-1] * p[-2] - diag[-1] * c[0] + r_stat[-1] / J[0, -1], mu)
         iters += 1
         ev = _evaluate(problem, d)
     return best[1], iters, best[2]
@@ -300,35 +301,33 @@ def _final_report_parts(problem, d, lo, hi, ev):
 
     ``ev`` is ``_evaluate(problem, d)``.  Returns the objective, both
     equality residuals, the box-aware stationarity norm, and whether the
-    reduced Hessian Z^T W Z is negative definite (true when the null space
-    is empty), that is, whether -Z^T W Z has a Cholesky factor.  W is the
-    Hessian of the maximization Lagrangian f - lam.c and Z, from an SVD,
-    spans the null space of the equality Jacobian and the active box rows.
+    Hessian of the maximization Lagrangian f - lam.c is negative definite
+    on the null space of the equality Jacobian and the active box rows.  In
+    the phases, psi_last fixed, M^T of the closure and active box rows
+    border the minimization T: K = [[T, B], [B^T, 0]].  With B of rank r,
+    K has r more positive eigenvalues than the reduced T (Gould), so that is
+    definite exactly when K has one per row of T, counted over T's pivots
+    and the Schur complement -B^T T^-1 B; a zero pivot is not certified.
     """
     f, gf, c, J = ev
     lam, *_ = np.linalg.lstsq(J.T, gf, rcond=None)
-    r = gf - J.T @ lam
     # box-aware stationarity: at an active bound only the inward-pushing
     # component counts against optimality of the maximization problem
-    proj = r.copy()
+    proj = gf - J.T @ lam
     at_lo = d <= lo + 1e-12
     at_hi = d >= hi - 1e-12
     proj[at_lo] = np.maximum(proj[at_lo], 0.0)
     proj[at_hi] = np.minimum(proj[at_hi], 0.0)
     kkt = float(np.linalg.norm(proj))
-    active = np.eye(problem.dim)[at_lo | at_hi]
-    A = np.vstack((J, active))
-    _, sv, Vt = np.linalg.svd(A)
-    rank = int(np.sum(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
-    Z = Vt[rank:].T
-    negative_definite = True
-    if Z.shape[1]:
-        W = problem.objective_hessian(d) - lam[1] * problem.eq_hessians[1](d)
-        try:
-            np.linalg.cholesky(-(Z.T @ W @ Z))
-        except np.linalg.LinAlgError:
-            negative_definite = False
-    return f, (float(c[0]), float(c[1])), kkt, negative_definite
+    boxes = np.arange(len(d)) == np.flatnonzero(at_lo | at_hi)[:, None]
+    try:
+        _, _, piv, _, Y = _bordered(problem, d, J[0], -lam[1], np.concatenate((J[1:], boxes)))
+        eig = np.linalg.eigvalsh(-(Y / piv) @ Y.T)
+        tol = max(Y.shape) * np.finfo(float).eps * float(np.max(np.abs(eig)))
+        definite = int((piv > 0.0).sum() + (eig > tol).sum()) == len(piv)
+    except ZeroDivisionError:
+        definite = False
+    return f, (float(c[0]), float(c[1])), kkt, definite
 
 
 def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveReport:
@@ -337,15 +336,14 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
     The report counts as converged when both equality residuals are within
     ``tol_eq``, the projected stationarity norm is within ``tol_kkt``, and
     the reduced Hessian is negative definite (a strict local maximum).  It
-    is returned when it converged with an objective at least the warm
-    start's; otherwise :class:`NonConvergenceError`, carrying the report,
-    names each criterion that failed.
+    is returned when it converged with a perimeter at least the warm start's,
+    compared by their gaps to ub_L (:func:`bounds.perimeter_gap`); otherwise
+    :class:`NonConvergenceError`, carrying the report, names each failure.
     """
     cfg = config or SolverConfig()
     lo = -problem.base_angle
     hi = problem.upper - problem.base_angle
     warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
-    warm_obj, _ = problem.objective(warm_dev)
     d, iters, ev = _newton_kkt(problem, warm_dev, lo, hi, cfg.max_outer)
     obj, eq_res, kkt, definite = _final_report_parts(problem, d, lo, hi, ev)
     failed = []
@@ -362,7 +360,8 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
         objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
         iterations=iters, starts_used=1, converged=not failed,
     )
-    if not obj >= warm_obj:
+    w = ev[3][0]  # perimeters, unlike their gaps to ub_L, tie in binary64 from b1024
+    if not perimeter_gap(problem.n, w, d) <= perimeter_gap(problem.n, w, warm_dev):
         failed.append("objective below the warm start")
     if failed:
         raise NonConvergenceError(

@@ -14,7 +14,9 @@ in ``smallpoly.cli._mirror_distance``.
 ``loop_b_closure_derivatives``, ``loop_q_closure_gradient`` and
 ``loop_q_closure_hessian`` accumulate the closure-constraint derivatives of
 the optimizer's problems one term (one dense outer product) at a time, the
-oracle for the suffix sums in ``smallpoly.optimizer``.  ``atan2_boundary_order`` is the per-vertex sort
+oracle for the suffix sums and the phase-space Hessian diagonals in
+``smallpoly.optimizer``; ``dense_phase_hessian`` expands such a diagonal
+into the dense matrix in the deviations.  ``atan2_boundary_order`` is the per-vertex sort
 oracle for ``smallpoly.geometry._boundary_order``.
 
 ``loop_b_vertices`` and ``loop_q_vertices`` walk the two diameter-graph
@@ -33,15 +35,18 @@ time along them) are the oracle for the stride order of
 oracles, byte for byte, for the single-pass ``polygon_to_json`` and the
 array formatting of ``smallpoly.cli.render_svg``.
 
-``block_kkt_solve`` is the Newton-KKT solve with its arrays built on every
-call: closure derivatives from a fresh triangle of suffix sums, a zero
-angle-sum Hessian added into the Lagrangian Hessian, the KKT matrix
-assembled by ``np.block`` on every iteration, and ``eigvalsh_report_parts``,
-which certifies a maximum by the largest ``eigvalsh`` eigenvalue of the
-reduced Hessian.  It keeps the perturbed-start fallback that followed a
-failed first start.  It is the oracle, report for report, for
-``smallpoly.optimizer.solve`` and its Cholesky certificate, and for the
-outcome of the one-start solve.
+``block_kkt_solve`` is the dense Newton-KKT solve in the deviations:
+closure derivatives from a fresh triangle of suffix sums, dense Hessians
+(``triangle_problem``), a zero angle-sum Hessian added into the Lagrangian
+Hessian, the KKT matrix assembled by ``np.block`` on every iteration, and
+``eigvalsh_report_parts``, which certifies a maximum by the largest
+``eigvalsh`` eigenvalue of the reduced Hessian.  It keeps the
+perturbed-start fallback that followed a failed first start.  From one
+start its reports are bitwise those of the former dense solver, whose
+second-order test ``cholesky_report_parts`` keeps: a Cholesky factor of
+-Z^T W Z, with Z from an SVD.  They are the oracle for the verdicts and
+angles of ``smallpoly.optimizer.solve``, for its inertia certificate, and
+for the outcome of the one-start solve.
 """
 
 import dataclasses
@@ -463,9 +468,18 @@ def triangle_suffix_sums(terms):
     return np.cumsum(rows, axis=1)[:, -1]
 
 
-def _triangle_problem(problem):
-    """``problem`` with closure derivatives from triangle suffix sums and a
-    zero angle-sum Hessian callable, the former problem builder's callables."""
+def dense_phase_hessian(weights, diagonal):
+    """D_w L^T diag(t) L D_w: the Hessian in the deviations d of a function
+    whose Hessian in the phases psi = L D_w d is diag(t), L the
+    lower-triangular matrix of ones."""
+    P = np.tril(np.ones((len(weights), len(weights)))) * weights
+    return P.T @ (diagonal[:, None] * P)
+
+
+def triangle_problem(problem):
+    """``problem`` with closure derivatives from triangle suffix sums, dense
+    Hessians and a zero angle-sum Hessian matrix, the former problem
+    builder's callables."""
     dim, base = problem.dim, problem.base_angle
     angle_sum, closure = problem.eq_constraints
     weights = angle_sum(np.zeros(dim))[1]
@@ -492,8 +506,12 @@ def _triangle_problem(problem):
     def angle_sum_hessian(d):
         return np.zeros((dim, dim))
 
+    def objective_hessian(d):
+        return np.diag(problem.objective_hessian(d))
+
     return dataclasses.replace(
-        problem, eq_constraints=(angle_sum, triangle_closure),
+        problem, objective_hessian=objective_hessian,
+        eq_constraints=(angle_sum, triangle_closure),
         eq_hessians=(angle_sum_hessian, triangle_closure_hessian))
 
 
@@ -563,6 +581,32 @@ def eigvalsh_report_parts(problem, d, lo, hi, ev):
     return f, (float(c[0]), float(c[1])), kkt, curvature
 
 
+def cholesky_report_parts(problem, d, lo, hi, ev):
+    """The former solver's final report parts on a ``triangle_problem``:
+    objective, equality residuals, KKT norm, and whether -Z^T W Z has a
+    Cholesky factor (true when the null space is empty)."""
+    f, gf, c, J = ev
+    lam, *_ = np.linalg.lstsq(J.T, gf, rcond=None)
+    proj = gf - J.T @ lam
+    at_lo = d <= lo + 1e-12
+    at_hi = d >= hi - 1e-12
+    proj[at_lo] = np.maximum(proj[at_lo], 0.0)
+    proj[at_hi] = np.minimum(proj[at_hi], 0.0)
+    kkt = float(np.linalg.norm(proj))
+    A = np.vstack((J, np.eye(problem.dim)[at_lo | at_hi]))
+    _, sv, Vt = np.linalg.svd(A)
+    rank = int(np.sum(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
+    Z = Vt[rank:].T
+    negative_definite = True
+    if Z.shape[1]:
+        W = problem.objective_hessian(d) - lam[1] * problem.eq_hessians[1](d)
+        try:
+            np.linalg.cholesky(-(Z.T @ W @ Z))
+        except np.linalg.LinAlgError:
+            negative_definite = False
+    return f, (float(c[0]), float(c[1])), kkt, negative_definite
+
+
 def block_kkt_solve(problem, config=None, starts=None):
     """The solve through triangle suffix sums, the zero angle-sum Hessian,
     the ``np.block`` KKT matrix and the ``eigvalsh`` certificate, with the
@@ -570,7 +614,7 @@ def block_kkt_solve(problem, config=None, starts=None):
     ``starts`` (default 1 + 2 * dim) starts each move one warm-start
     coordinate.  Returns the first converged report whose objective is at
     least the warm start's, or else the best partial one."""
-    problem = _triangle_problem(problem)
+    problem = triangle_problem(problem)
     cfg = config or SolverConfig()
     lo = np.zeros(problem.dim) - problem.base_angle
     hi = problem.upper - problem.base_angle

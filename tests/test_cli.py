@@ -168,14 +168,21 @@ def test_table_t4_row8(capsys):
                    "3.1214451523", "0.2219"]
 
 
-def test_table_t4_exits_1_where_the_bound_gap_is_below_one_ulp(capsys):
-    # ub_L - L_b = pi^7/(32 n^6) ~ 8.2e-17 at n = 1024 rounds to 0 in binary64
-    code, out, err = run(capsys, "table", "--id", "4", "--n", "1024")
-    assert code == EXIT_CHECK
-    assert out == ""
-    gap = bounds.gap_constants("b-perimeter", 1024) / 1024 ** 6
-    assert "n=1024" in err and f"{gap:.3g}" in err
-    assert "Traceback" not in err
+# (L_b_opt - L_b) / (ub_L - L_b) from perfbench/checks.py's 40-digit KKT optimum
+T4_RATIOS = {8: 0.2219439573, 16: 0.2077112857, 32: 0.1944813637,
+             64: 0.1907227894, 128: 0.1897554379, 256: 0.1895118727}
+
+
+def test_table_t4_ratio_is_its_40_digit_value_rounded_at_every_n(capsys):
+    # ub_L - L_b = pi^7/(32 n^6) is below one ulp of pi from n = 1024 on; the
+    # ratio is read from the two gaps to ub_L, never from the perimeters
+    code, out, _ = run(capsys, "table", "--id", "4", "--n", ",".join(map(str, T4_RATIOS)))
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [row[-1] for row in rows] == [f"{ratio:.4f}" for ratio in T4_RATIOS.values()]
+    code, out, _ = run(capsys, "table", "--id", "4", "--n", "1024,2048,4096")
+    assert code == EXIT_OK
+    assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == ["0.1894"] * 3
 
 
 def test_table_t5_t6_angle_rows(capsys):
@@ -749,19 +756,33 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
+def _run_capped(argv, timeout):
+    """``smallpoly.cli`` in a child process under the address-space cap."""
+    src = os.path.dirname(os.path.dirname(bounds.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "smallpoly.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=timeout)
+    return proc, time.perf_counter() - start
+
+
+def test_optimize_q_at_65536_converges_under_the_cap():
+    # 32768 unknowns: each Newton step and the certificate are O(dim)
+    proc, elapsed = _run_capped(["optimize", "--problem", "q", "--n", "65536"], 60)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    report = json.loads(proc.stdout)
+    assert report["converged"] is True and len(report["angles"]) == 32768
+    assert elapsed < 10.0
+
+
 @pytest.mark.parametrize("argv", [["build", "--family", "b"], ["optimize", "--problem", "q"]])
 def test_an_impossible_allocation_fails_at_once(argv):
     # the 2^38 (b) or 2^39 (q) analytic angles at n = 2^40 are one array, so
     # the command asks for them in one allocation and fails, never growing
     # towards the cap; it runs in a child process under the cap only
-    src = os.path.dirname(os.path.dirname(bounds.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "smallpoly.cli", *argv, "--n", str(2 ** 40)],
-                          capture_output=True, text=True, env=env,
-                          preexec_fn=_cap_address_space, timeout=60)
-    elapsed = time.perf_counter() - start
+    proc, elapsed = _run_capped([*argv, "--n", str(2 ** 40)], 60)
     assert (proc.returncode, proc.stdout) == (EXIT_CHECK, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert elapsed < 5.0

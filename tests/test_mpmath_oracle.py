@@ -18,20 +18,24 @@ decimals (within 5e-5) at n = 2^16 .. 2^20, where the denominators are a few
 dozen ulps of the bounds or less.
 """
 
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from smallpoly import (
     GAP_LAWS,
+    b_angles,
     build_b_problem,
     build_q_problem,
     closed_form,
     gap_constants,
+    q_angles,
     solve,
 )
-from smallpoly.bounds import ubw_step
+from smallpoly.bounds import perimeter_gap, ubw_step
 from smallpoly.cli import EXIT_OK, main
 
 mp = pytest.importorskip("mpmath")
@@ -131,6 +135,25 @@ def test_every_gap_law_matches_its_50_digit_difference(law):
         for n in POWERS:
             if n >= LEAST_N.get(family, 4):
                 _assert_close(gap_constants(law, n), mp_scaled_gap(law, n))
+
+
+@pytest.mark.parametrize("family", ["b", "q"])
+def test_perimeter_gap_matches_its_50_digit_value(family):
+    # at the analytic member's binary64 deviations and at one in the middle
+    # of its box; perimeter_gap is ub_L - L + 2 cos(pi/2n) sum w_k d_k there
+    angles = b_angles if family == "b" else q_angles
+    with mp.workdps(50):
+        for n in (LEAST_N[family], 2 ** 6, 2 ** 12):
+            warm = angles(n)
+            weights = warm.weights(len(warm.alphas))
+            d = warm.alphas - math.pi / n
+            for dev in (d, d + math.pi / 12 * (-1.0) ** np.arange(len(d))):
+                half = mp.pi / (2 * n)
+                w, e = [mp.mpf(x) for x in weights], [mp.mpf(x) for x in dev]
+                ref = (2 * n * mp.sin(half)
+                       - 4 * mp.fsum(wk * mp.sin(half + ek / 2) for wk, ek in zip(w, e))
+                       + 2 * mp.cos(half) * mp.fsum(wk * ek for wk, ek in zip(w, e)))
+                _assert_close(perimeter_gap(n, weights, dev), ref)
 
 
 def mp_ubw(n):
