@@ -252,6 +252,34 @@ GAP_LAWS: dict[str, tuple[int, float]] = {
     "regular-hat-width": (2, PI / 4),
 }
 
+OPTIMUM_GAP_LIMITS: dict[str, tuple[int, float]] = {
+    # family-metric key: (power p, limit of n^p (ub_L - L_opt))
+    "b-perimeter": (6, PI ** 5 / 4),
+    "q-perimeter": (4, PI ** 3 / 4),
+}
+"""Scaled perimeter gaps of each family's optimum, 8/pi^2 of its member's law.
+
+L_opt is the maximum of the family's perimeter problem
+(:mod:`smallpoly.optimizer`).  No closed form gives it at finite n, so these
+limits are kept apart from ``GAP_LAWS``, whose entries
+:func:`gap_constants` evaluates; each has its member's power p, and
+pi^5/4 = (8/pi^2) pi^7/32, pi^3/4 = (8/pi^2) pi^5/32.
+
+To second order in the deviations d = a - pi/n, on the angle-sum plane,
+ub_L - L = (pi/4n) sum_k w_k d_k^2 (:func:`perimeter_gap`).  Write
+d_k = (-1)^k s_k and let x_k be the family's harmonic phase (``harmonic``
+of its angle class), which runs over [0, pi/2].  Summed by parts, the
+closure's alternating terms leave, to first order in d, one moment fixed:
+sum_k w_k s_k cos x_k.  The member meets it with the square wave
+s = +-offset.  Among profiles with that moment, sum_k w_k s_k^2 is least
+for the wave's fundamental harmonic, s = (4/pi) offset cos x, which has the
+same moment because (4/pi) int cos^2 = int cos over [0, pi/2].  By Parseval
+the fundamental carries (4/pi)^2 / 2 = 8/pi^2 of the square wave's mean
+square, so the optimum's gap is 8/pi^2 of the member's.  The scaled gaps
+approach these limits as O(1/n^2): tests/test_mpmath_oracle.py extrapolates
+40-digit optima at n = 32 .. 256 to them.
+"""
+
 
 def _chord_deficits(arcs: list[tuple[Fraction, Fraction]]) -> float:
     """How far the chords fall short of arcs pi w_i cut into subarcs pi r_i.

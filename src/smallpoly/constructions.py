@@ -171,9 +171,10 @@ class _AngleParam:
     subclass states its family's data once: the key of its n rule
     (``_FAMILY``), the number of angles (``_dim``), the closure constant
     (``_CLOSURE``), the weights and upper boxes as (first, middle, last)
-    values, and the phases (``phases``), along which the vertex walk steps
-    too.  The optimizer builds its problem from the same weights, boxes and
-    constant.
+    values, the phases (``phases``), along which the vertex walk steps too,
+    and the phase of the fundamental harmonic of its alternating offsets
+    (``harmonic``).  The optimizer builds its problem from the same weights,
+    boxes and constant, and its warm start from that harmonic.
     """
 
     n: int
@@ -247,6 +248,12 @@ class AngleParamB(_AngleParam):
     def _dim(n: int) -> int:
         return n // 4 + 1
 
+    @classmethod
+    def harmonic(cls, n: int) -> np.ndarray:
+        """2 pi k / n: the phase at angle k of the fundamental harmonic of
+        the offsets' square wave (-1)^k."""
+        return 2.0 * math.pi / n * np.arange(cls._dim(n))
+
     @staticmethod
     def phases(a: np.ndarray) -> np.ndarray:
         """phi_r = a_0 + 2 (a_1 + .. + a_r) for r < n/4."""
@@ -268,6 +275,12 @@ class AngleParamQ(_AngleParam):
     @staticmethod
     def _dim(n: int) -> int:
         return n // 2
+
+    @classmethod
+    def harmonic(cls, n: int) -> np.ndarray:
+        """pi (k + 1/2) / n: the phase at angle k of the fundamental
+        harmonic of the offsets' square wave (-1)^k."""
+        return math.pi / n * (np.arange(cls._dim(n)) + 0.5)
 
     @staticmethod
     def phases(a: np.ndarray) -> np.ndarray:

@@ -12,18 +12,19 @@ with phi_r = sum_{j<=r} w_j a_j.  "b" has n/4+1 angles, weights
 phases included, from the family's angle class.
 
 The solver runs Newton's method on the KKT system (Nocedal & Wright,
-*Numerical Optimization*, section 18.1) once, from the analytic warm start
-(the family member of :mod:`smallpoly.constructions`, within O(1/n^6) (b)
-and O(1/n^4) (q) of the optimum's perimeter), in the deviations
-d_k = a_k - pi/n.  Steps are taken in the phases psi = cumsum(w * d), where
-the closure's Hessian is diagonal, the objective's tridiagonal and the
-angle sum is psi_last alone: eliminating it leaves a tridiagonal system
-bordered by the closure row, one LDL^T pass and a scalar Schur complement,
-O(dim) per iteration.  A report counts as converged only when its
-residuals are small and the reduced Hessian of the Lagrangian on the null
-space of the active constraints is negative definite (section 12.5), a
-strict local maximum; the same factorization's inertia decides that
-(theorem 16.3; Gould, Math. Programming 32, 1985).  The solve uses no RNG,
+*Numerical Optimization*, section 18.1) once, in the deviations
+d_k = a_k - pi/n, from the optimum's leading Fourier profile: the family
+member's alternating offsets (:mod:`smallpoly.constructions`) reshaped into
+the fundamental harmonic of their square wave, where the optimum's lie
+(:data:`bounds.OPTIMUM_GAP_LIMITS`).  Steps are taken in the phases
+psi = cumsum(w * d), where the closure's Hessian is diagonal, the
+objective's tridiagonal and the angle sum is psi_last alone: eliminating it
+leaves a tridiagonal system bordered by the closure row, one LDL^T pass and
+a scalar Schur complement, O(dim) per iteration.  A report counts as
+converged only when its residuals are small and the reduced Hessian of the
+Lagrangian on the null space of the active constraints is negative definite
+(section 12.5), a strict local maximum; the same factorization's inertia
+decides that (theorem 16.3; Gould, Math. Programming 32, 1985).  The solve uses no RNG,
 so identical configurations reproduce bit-identical reports.
 """
 
@@ -37,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import perimeter_gap
+from .bounds import GAP_LAWS, gap_constants, perimeter_gap
 from .constructions import AngleParamB, AngleParamQ, _from_angles, b_angles, q_angles
 from .geometry import DIAMETER_TOL, MetricsReport, measure
 
@@ -68,7 +69,9 @@ class NlpProblem:
     Hessian's diagonal where that is diagonal: ``objective_hessian`` in d,
     ``eq_hessians`` in the phases psi = cumsum(w * d) (zeros for the angle
     sum, never read).  Angles are bounded below by 0; ``upper`` and
-    ``warm_start`` are stored in angle space.
+    ``warm_start`` are stored in angle space.  The built problems start from
+    the optimum's Fourier profile, which is not feasible (see
+    :func:`_build_problem`).
     """
 
     family: str                   # "b" or "q"
@@ -148,21 +151,34 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 
 
-def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
-    """The perimeter problem of the family whose analytic member is ``warm``,
-    with the weights, closure constant and boxes of its angle class.
+def _build_problem(member: AngleParamB | AngleParamQ) -> NlpProblem:
+    """The perimeter problem of the family whose analytic member is
+    ``member``, with the weights, closure constant and boxes of its angle
+    class.
+
+    The warm start is the optimum's leading Fourier profile: the member's
+    deviations times 4/pi cos of the class's ``harmonic`` phase, the
+    fundamental of their square wave, where the optimum's deviations lie
+    (relative error O(1/n^2) for b, O(1/n) for q).  It is not feasible: the
+    angle sum is off by O(offset/n) for b and O(offset) for q, the closure
+    by O(offset/n), and Newton's first step absorbs both.  With dim <= 2
+    (q4) the two equalities leave no freedom, and the member itself is the
+    start.
 
     The closure phases phi_r (r < dim-1) are the base angles' phases plus
     the class's ``phases`` psi_r of the deviations, which move with slope
     w_j in d_j for j <= r: the closure gradient is w times the suffix sums
     of the signed cosines, its Hessian in psi the negated signed sines.
     """
-    n, dim = warm.n, len(warm.alphas)
+    n, dim = member.n, len(member.alphas)
     base = math.pi / n
-    weights = warm.weights(dim)
+    weights = member.weights(dim)
     base_phases = np.cumsum(weights[:-1]) * base
     coef = 4.0 * weights
-    const = warm._CLOSURE
+    const = member._CLOSURE
+    warm = member.alphas
+    if dim > 2:
+        warm = base + 4.0 / math.pi * np.cos(member.harmonic(n)) * (warm - base)
     signs = (-1.0) ** np.arange(dim - 1)
 
     def objective(d: np.ndarray) -> tuple[float, np.ndarray]:
@@ -181,20 +197,20 @@ def _build_problem(warm: AngleParamB | AngleParamQ) -> NlpProblem:
         return np.zeros(dim)
 
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
-        phi = base_phases + warm.phases(d)
+        phi = base_phases + member.phases(d)
         val = math.fsum([const] + (signs * np.sin(phi)).tolist())
         suffix = np.cumsum((signs * np.cos(phi))[::-1])[::-1]
         return val, weights * np.append(suffix, 0.0)
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
-        return np.append(-signs * np.sin(base_phases + warm.phases(d)), 0.0)
+        return np.append(-signs * np.sin(base_phases + member.phases(d)), 0.0)
 
     return NlpProblem(
-        family=warm._FAMILY, n=n, dim=dim, base_angle=base,
+        family=member._FAMILY, n=n, dim=dim, base_angle=base,
         objective=objective, objective_hessian=objective_hessian,
         eq_constraints=(angle_sum, closure),
         eq_hessians=(angle_sum_hessian, closure_hessian),
-        upper=warm.upper(n), warm_start=warm.alphas,
+        upper=member.upper(n), warm_start=warm,
     )
 
 
@@ -331,14 +347,16 @@ def _final_report_parts(problem, d, lo, hi, ev):
 
 
 def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveReport:
-    """One Newton-KKT solve from the analytic warm start, clipped to the box.
+    """One Newton-KKT solve from the problem's warm start, clipped to the box.
 
     The report counts as converged when both equality residuals are within
     ``tol_eq``, the projected stationarity norm is within ``tol_kkt``, and
     the reduced Hessian is negative definite (a strict local maximum).  It
-    is returned when it converged with a perimeter at least the warm start's,
-    compared by their gaps to ub_L (:func:`bounds.perimeter_gap`); otherwise
-    :class:`NonConvergenceError`, carrying the report, names each failure.
+    is returned when it converged with a perimeter at least the analytic
+    family member's, compared by their gaps to ub_L: the optimum's from
+    :func:`bounds.perimeter_gap`, the member's closed form from
+    :func:`bounds.gap_constants`.  Otherwise :class:`NonConvergenceError`,
+    carrying the report, names each failure.
     """
     cfg = config or SolverConfig()
     lo = -problem.base_angle
@@ -360,9 +378,12 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
         objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
         iterations=iters, starts_used=1, converged=not failed,
     )
-    w = ev[3][0]  # perimeters, unlike their gaps to ub_L, tie in binary64 from b1024
-    if not perimeter_gap(problem.n, w, d) <= perimeter_gap(problem.n, w, warm_dev):
-        failed.append("objective below the warm start")
+    # perimeters, unlike their gaps to ub_L, tie in binary64 from b1024; n^p
+    # is a power of two, so dividing the scaled gap by it rounds nothing
+    law = f"{problem.family}-perimeter"
+    member_gap = gap_constants(law, problem.n) / problem.n ** GAP_LAWS[law][0]
+    if not perimeter_gap(problem.n, ev[3][0], d) <= member_gap:
+        failed.append("objective below the family member")
     if failed:
         raise NonConvergenceError(
             f"no certified maximum for family {problem.family!r}, n={problem.n}: "

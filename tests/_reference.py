@@ -55,6 +55,7 @@ import math
 import numpy as np
 
 from smallpoly.cli import SVG_SCALE
+from smallpoly.constructions import b_angles, q_angles
 from smallpoly.geometry import DIAMETER_TOL, _json17, diameter
 from smallpoly.optimizer import (
     STEP_TOL,
@@ -613,13 +614,14 @@ def block_kkt_solve(problem, config=None, starts=None):
     former perturbed-start fallback: while no start has converged, up to
     ``starts`` (default 1 + 2 * dim) starts each move one warm-start
     coordinate.  Returns the first converged report whose objective is at
-    least the warm start's, or else the best partial one."""
+    least the analytic family member's, or else the best partial one."""
     problem = triangle_problem(problem)
     cfg = config or SolverConfig()
     lo = np.zeros(problem.dim) - problem.base_angle
     hi = problem.upper - problem.base_angle
     warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
-    warm_obj, _ = problem.objective(warm_dev)
+    member = (b_angles if problem.family == "b" else q_angles)(problem.n)
+    member_obj, _ = problem.objective(member.alphas - problem.base_angle)
     n_starts = starts if starts is not None else 1 + 2 * problem.dim
     best_partial = None
     for s in range(n_starts):
@@ -639,7 +641,7 @@ def block_kkt_solve(problem, config=None, starts=None):
             objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
             iterations=iters, starts_used=s + 1, converged=converged,
         )
-        if converged and obj >= warm_obj:
+        if converged and obj >= member_obj:
             return report
         if best_partial is None or obj > best_partial.objective:
             best_partial = report

@@ -5,7 +5,9 @@ which states both perimeter problems from the paper's definitions in mpmath
 and solves their KKT system to 40 digits; nothing here is computed by
 ``smallpoly``'s own problem builders.  The bounds are the binary64 solve's
 own error: angles within n * 4e-16 and objectives within 1e-15 of the
-optimum.
+optimum.  The same optima hold the solver's warm start, the optimum's
+Fourier profile, within its stated relative error, and, extrapolated from
+n = 32 .. 256, the limits of ``bounds.OPTIMUM_GAP_LIMITS``.
 
 Closed forms and gap laws: every closed form, and every scaled gap
 n^p (bound - value) of ``GAP_LAWS``, evaluated from its definition at 50
@@ -18,6 +20,7 @@ decimals (within 5e-5) at n = 2^16 .. 2^20, where the denominators are a few
 dozen ulps of the bounds or less.
 """
 
+import functools
 import math
 import sys
 from pathlib import Path
@@ -35,7 +38,7 @@ from smallpoly import (
     q_angles,
     solve,
 )
-from smallpoly.bounds import perimeter_gap, ubw_step
+from smallpoly.bounds import OPTIMUM_GAP_LIMITS, perimeter_gap, ubw_step
 from smallpoly.cli import EXIT_OK, main
 
 mp = pytest.importorskip("mpmath")
@@ -58,6 +61,46 @@ def test_default_solve_is_within_binary64_noise_of_the_optimum(family, n):
         assert len(report.angles) == prob.dim
         assert angle_error <= n * 4e-16
         assert abs(mp.mpf(report.objective) - objective) <= 1e-15
+
+
+@functools.cache
+def _optimum(family, n):
+    """The 40-digit optimum's angles, from the analytic member."""
+    with mp.workdps(checks.DPS):
+        prob = checks.problem(family, n)
+        return tuple(checks.kkt_optimum(prob, checks.family_angles(family, n)))
+
+
+@pytest.mark.parametrize("family,n", [(family, n) for family in ("b", "q")
+                                      for n in (64, 128, 256)])
+def test_warm_start_is_the_optimums_fourier_profile(family, n):
+    # the largest deviation error, relative to the optimum's largest
+    # deviation: about pi^2/n^2 for b and 2/n for q
+    warm = BUILDERS[family](n).warm_start
+    with mp.workdps(checks.DPS):
+        optimum = [x - mp.pi / n for x in _optimum(family, n)]
+        error = max(abs(mp.mpf(a) - mp.pi / n - x) for a, x in zip(warm, optimum))
+        bound = 2 * math.pi ** 2 / n ** 2 if family == "b" else 3 / n
+        assert error <= bound * max(abs(x) for x in optimum)
+
+
+@pytest.mark.parametrize("family", ["b", "q"])
+def test_optimum_gap_limits_match_extrapolated_40_digit_optima(family):
+    # n^p (ub_L - L_opt) at n = 32 .. 256 is the limit plus a series in 1/n^2,
+    # so three Richardson passes (ratios 4, 16, 64) leave one value
+    law = f"{family}-perimeter"
+    power, limit = OPTIMUM_GAP_LIMITS[law]
+    assert power == GAP_LAWS[law][0]
+    with mp.workdps(checks.DPS):
+        prob = {n: checks.problem(family, n) for n in (32, 64, 128, 256)}
+        gaps = [mp.mpf(n) ** power * (checks.upper_bound_L(n)
+                                      - checks.evaluate(p, _optimum(family, n))[0])
+                for n, p in prob.items()]
+        for ratio in (4, 16, 64):
+            gaps = [(ratio * fine - coarse) / (ratio - 1)
+                    for coarse, fine in zip(gaps, gaps[1:])]
+        assert abs(gaps[0] - limit) <= 1e-9 * limit
+        assert limit == pytest.approx(8 / math.pi ** 2 * GAP_LAWS[law][1], rel=1e-15)
 
 
 REL_TOL = 2e-15

@@ -19,6 +19,7 @@ from smallpoly import (
     solve,
     upper_bounds,
 )
+from smallpoly.bounds import b_alternation, q_alternation
 from smallpoly.optimizer import _evaluate, _final_report_parts
 
 from _reference import (
@@ -71,30 +72,50 @@ def test_q_problem_shape():
         build_q_problem(6)
 
 
-def test_warm_start_objectives():
+def _member_deviations(problem):
+    """The analytic family member's deviations from pi/n."""
+    angles = b_angles if problem.family == "b" else q_angles
+    return angles(problem.n).alphas - problem.base_angle
+
+
+def test_family_member_objectives():
     problem = build_b_problem(8)
-    warm_dev = problem.warm_start - problem.base_angle
-    assert problem.objective(warm_dev)[0] == pytest.approx(3.1210621230, abs=5e-11)
+    member_dev = _member_deviations(problem)
+    assert problem.objective(member_dev)[0] == pytest.approx(3.1210621230, abs=5e-11)
     qproblem = build_q_problem(8)
-    warm_dev = qproblem.warm_start - qproblem.base_angle
+    member_dev = _member_deviations(qproblem)
     # closed-form perimeter of the analytic member
-    assert qproblem.objective(warm_dev)[0] == pytest.approx(
+    assert qproblem.objective(member_dev)[0] == pytest.approx(
         closed_form("q", 8)[0], abs=1e-12)
-    assert qproblem.objective(warm_dev)[0] == pytest.approx(3.11934, abs=1e-4)
+    assert qproblem.objective(member_dev)[0] == pytest.approx(3.11934, abs=1e-4)
 
 
-def test_warm_start_is_the_analytic_family_member():
+def test_warm_start_is_the_members_fourier_profile():
+    # (4/pi) cos x_k times the member's offset (-1)^k beta (b) or
+    # -(-1)^k gamma (q), x_k = 2 pi k/n (b) or pi (k + 1/2)/n (q), within a
+    # few ulps of pi/n; q4 has no freedom left and starts at the member
     for n in (8, 64, 1024):
-        assert build_b_problem(n).warm_start.tobytes() == b_angles(n).alphas.tobytes()
-    for n in (4, 64, 1024):
-        assert build_q_problem(n).warm_start.tobytes() == q_angles(n).alphas.tobytes()
+        k = np.arange(n // 4 + 1)
+        profile = math.pi / n + 4 / math.pi * (-1.0) ** k * b_alternation(n) \
+            * np.cos(2 * math.pi * k / n)
+        assert np.max(np.abs(build_b_problem(n).warm_start - profile)) <= 4 * EPS * math.pi / n
+    for n in (8, 64, 1024):
+        k = np.arange(n // 2)
+        profile = math.pi / n - 4 / math.pi * (-1.0) ** k * q_alternation(n) \
+            * np.cos(math.pi * (k + 0.5) / n)
+        assert np.max(np.abs(build_q_problem(n).warm_start - profile)) <= 4 * EPS * math.pi / n
+    assert build_q_problem(4).warm_start.tobytes() == q_angles(4).alphas.tobytes()
 
 
-def test_warm_start_is_feasible():
-    for problem in (build_b_problem(16), build_q_problem(16)):
-        d = problem.warm_start - problem.base_angle
+def test_family_member_is_feasible():
+    # the warm start is not: Newton's first step absorbs residuals below the offset
+    for problem, offset in ((build_b_problem(16), b_alternation(16)),
+                            (build_q_problem(16), q_alternation(16))):
+        d = _member_deviations(problem)
+        warm_dev = problem.warm_start - problem.base_angle
         for constraint in problem.eq_constraints:
             assert abs(constraint(d)[0]) <= 1e-12
+            assert 1e-12 < abs(constraint(warm_dev)[0]) < offset
 
 
 @pytest.mark.parametrize("builder,n", [
@@ -182,11 +203,11 @@ def test_optimal_angles_alternate_about_center():
             assert math.copysign(1.0, dev) == (1.0 if k % 2 == 0 else -1.0)
 
 
-def test_objective_never_below_warm_start():
+def test_objective_never_below_the_family_member():
     for n in (8, 16, 32, 64, 128):
-        problem = build_b_problem(n)
-        warm_obj = problem.objective(problem.warm_start - problem.base_angle)[0]
-        assert solve(problem).objective >= warm_obj
+        for problem in (build_b_problem(n), build_q_problem(n)):
+            member_obj = problem.objective(_member_deviations(problem))[0]
+            assert solve(problem).objective >= member_obj
 
 
 def test_optimality_fraction_of_bound_interval():
@@ -238,6 +259,22 @@ def test_default_solve_is_certified_from_the_first_start(builder, n):
     assert report.converged
     assert report.starts_used == 1
     assert report.iterations <= 4
+
+
+# Newton iterations of each default solve started at the analytic member:
+# b8 .. b2^14 and q4 .. q2^16 (q4 starts at its optimum)
+MEMBER_START_ITERATIONS = {
+    build_b_problem: (3, (4, 3, 3, 2, 2, 2, 1, 1, 1, 2, 1, 2)),
+    build_q_problem: (2, (0, 4, 4, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("builder", list(MEMBER_START_ITERATIONS))
+def test_fourier_start_takes_no_more_iterations_than_the_member(builder):
+    least, ceilings = MEMBER_START_ITERATIONS[builder]
+    iterations = [solve(builder(2 ** (least + i))).iterations for i in range(len(ceilings))]
+    assert all(got <= most for got, most in zip(iterations, ceilings)), iterations
+    assert sum(iterations) < sum(ceilings)
 
 
 def _negated(problem):
@@ -447,10 +484,9 @@ def test_one_start_converges_exactly_when_the_multi_start_reference_does(builder
     # The reference runs up to 1 + 2 * dim perturbed starts while none has
     # converged; a start after the first never succeeds where the first failed.
     problem = builder(n)
-    warm = np.clip(problem.warm_start - problem.base_angle,
-                   -problem.base_angle, problem.upper - problem.base_angle)
     reference = block_kkt_solve(problem, config)
-    ref_ok = reference.converged and reference.objective >= problem.objective(warm)[0]
+    member_obj = problem.objective(_member_deviations(problem))[0]
+    ref_ok = reference.converged and reference.objective >= member_obj
     calls = []
     try:
         report = solve(_counting_objective(problem, calls), config)
