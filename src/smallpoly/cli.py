@@ -18,7 +18,6 @@ import numpy as np
 
 from . import bounds
 from .constructions import (
-    AngleParamB,
     b_family,
     extract_angles_b,
     extract_angles_q,
@@ -269,9 +268,7 @@ def table_csv(spec: TableSpec, digits: int | None = None,
             # (L_b_opt - L_b) / (ub_L - L_b) = 1 - (ub_L - L_b_opt) / (ub_L - L_b),
             # both gaps free of cancellation (ub_L - L_b is below one ulp of pi
             # from n = 1024 on)
-            d = np.array(b_opt.angles) - math.pi / n
-            gap = bounds.perimeter_gap(n, AngleParamB.weights(len(d)), d)
-            ratio = 1 - gap / (bounds.gap_constants("b-perimeter", n) / n ** 6)
+            ratio = 1 - b_opt.perimeter_gap / (bounds.gap_constants("b-perimeter", n) / n ** 6)
             out.append(",".join([str(n), _fmt(lq, dec10), _fmt(lb, dec),
                                  _fmt(b_opt.objective, dec), _fmt(ub, dec), _fmt(ratio, 4)]))
     elif tid in ("T5_b_angles", "T6_q_angles"):
@@ -280,9 +277,8 @@ def table_csv(spec: TableSpec, digits: int | None = None,
         for n in spec.n_values:
             build = build_b_problem if tid == "T5_b_angles" else build_q_problem
             report = solve(build(n), config)
-            for k, alpha in enumerate(report.angles):
-                out.append(",".join([str(n), format(math.pi / n, f".{sig}g"),
-                                     str(k), format(alpha, f".{sig}g")]))
+            head = f"{n},{math.pi / n:.{sig}g},"
+            out += [f"{head}{k},{alpha:.{sig}g}" for k, alpha in enumerate(report.angles)]
     return "\n".join(out) + "\n"
 
 

@@ -238,9 +238,15 @@ def _support_width(coords: np.ndarray, far: np.ndarray) -> float:
 
 
 def _hull(coords: np.ndarray) -> np.ndarray:
-    """CCW hull vertex indices (Andrew's monotone chain), collinear points dropped."""
-    pts = _scaled(coords).tolist()
-    order = np.lexsort((coords[:, 1], coords[:, 0])).tolist()
+    """CCW hull vertex indices (Andrew's monotone chain), collinear points dropped.
+
+    The chain sorts the same scaled points its turn test reads: scaling can
+    flush a subnormal coordinate to zero, and an order taken before that
+    would not be the order of the points tested.
+    """
+    scaled = _scaled(coords)
+    pts = scaled.tolist()
+    order = np.lexsort((scaled[:, 1], scaled[:, 0])).tolist()
     hull: list[int] = []
     for chain in (order, order[::-1]):
         base = len(hull)

@@ -45,6 +45,7 @@ from .geometry import DIAMETER_TOL, MetricsReport, measure
 DEFAULT_TOL_EQ = 1e-11
 DEFAULT_TOL_KKT = 1e-9
 STEP_TOL = 1e-13        # Newton iterations stop once steps shrink below this
+EPS = float(np.finfo(float).eps)
 
 
 class NonConvergenceError(RuntimeError):
@@ -68,10 +69,12 @@ class NlpProblem:
     return value and gradient in d.  Each Hessian callable returns its
     Hessian's diagonal where that is diagonal: ``objective_hessian`` in d,
     ``eq_hessians`` in the phases psi = cumsum(w * d) (zeros for the angle
-    sum, never read).  Angles are bounded below by 0; ``upper`` and
-    ``warm_start`` are stored in angle space.  The built problems start from
-    the optimum's Fourier profile, which is not feasible (see
-    :func:`_build_problem`).
+    sum, never read).  In the built problems the Hessian callables reuse
+    the sines that ``objective`` and the closure computed at the same
+    read-only array; every callable returns a new array on each call.
+    Angles are bounded below by 0; ``upper`` and ``warm_start`` are stored
+    in angle space.  The built problems start from the optimum's Fourier
+    profile, which is not feasible (see :func:`_build_problem`).
     """
 
     family: str                   # "b" or "q"
@@ -88,12 +91,19 @@ class NlpProblem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one solve; ``starts_used`` is always 1 (one Newton run)."""
+    """Outcome of one solve; ``starts_used`` is always 1 (one Newton run).
+
+    ``objective`` is the perimeter at ``angles``; ``perimeter_gap`` is
+    :func:`bounds.perimeter_gap` at the solved deviations, ub_L less that
+    perimeter summed without cancellation, which ``objective`` cannot
+    resolve once the two agree to a few ulp of pi.
+    """
 
     family: str
     n: int
     angles: tuple[float, ...]
     objective: float
+    perimeter_gap: float          # ub_L - objective (bounds.perimeter_gap)
     eq_residuals: tuple[float, float]
     kkt_residual: float
     iterations: int
@@ -106,6 +116,7 @@ class SolveReport:
             "n": self.n,
             "angles": list(self.angles),
             "objective": self.objective,
+            "perimeter_gap": self.perimeter_gap,
             "eq_residuals": list(self.eq_residuals),
             "kkt_residual": self.kkt_residual,
             "iterations": self.iterations,
@@ -146,9 +157,35 @@ class SolverConfig:
         return cls(**data)
 
 
+_DEFAULT_CONFIG = SolverConfig()
+
+
 # ---------------------------------------------------------------------------
 # Problem builders
 # ---------------------------------------------------------------------------
+
+
+def _last_point(compute: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
+    """``compute`` keeping its result at the last read-only array it owns
+    the data of, returned again while that same array comes back.
+
+    The solver makes each iterate and marks it read-only, so a Hessian
+    callable reads what ``objective`` or ``closure`` just computed at it.  A
+    writable array, or a view of another array's data, may change in place
+    between calls, so it is recomputed every time and never kept.
+    """
+    key, value = None, None
+
+    def at(d: np.ndarray) -> tuple:
+        nonlocal key, value
+        if d is not key:
+            result = compute(d)
+            if d.flags.writeable or not d.flags.owndata:
+                return result
+            key, value = d, result
+        return value
+
+    return at
 
 
 def _build_problem(member: AngleParamB | AngleParamQ) -> NlpProblem:
@@ -169,6 +206,14 @@ def _build_problem(member: AngleParamB | AngleParamQ) -> NlpProblem:
     the class's ``phases`` psi_r of the deviations, which move with slope
     w_j in d_j for j <= r: the closure gradient is w times the suffix sums
     of the signed cosines, its Hessian in psi the negated signed sines.
+
+    Each point's trigonometry is computed once: sin and cos of the half
+    angles h = (pi/n + d)/2, read by ``objective`` (value and gradient) and
+    ``objective_hessian``, and the signed sines and cosines of phi, read by
+    the closure and its Hessian.  Each pair is kept for the last point only
+    and only when that point is a read-only array owning its data, as the
+    solver's iterates are (:func:`_last_point`), so a Newton step's Hessians
+    cost no trigonometric call.
     """
     n, dim = member.n, len(member.alphas)
     base = math.pi / n
@@ -180,14 +225,24 @@ def _build_problem(member: AngleParamB | AngleParamQ) -> NlpProblem:
     if dim > 2:
         warm = base + 4.0 / math.pi * np.cos(member.harmonic(n)) * (warm - base)
     signs = (-1.0) ** np.arange(dim - 1)
+    grad_coef, hess_coef = coef / 2, -coef / 4
+
+    def halves(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = (base + d) / 2
+        return np.sin(h), np.cos(h)
+
+    def signed_phases(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        phi = base_phases + member.phases(d)
+        return signs * np.sin(phi), signs * np.cos(phi)
+
+    halves, signed_phases = _last_point(halves), _last_point(signed_phases)
 
     def objective(d: np.ndarray) -> tuple[float, np.ndarray]:
-        a = base + d
-        val = math.fsum((coef * np.sin(a / 2)).tolist())
-        return val, coef / 2 * np.cos(a / 2)
+        sines, cosines = halves(d)
+        return math.fsum((coef * sines).tolist()), grad_coef * cosines
 
     def objective_hessian(d: np.ndarray) -> np.ndarray:
-        return -coef / 4 * np.sin((base + d) / 2)
+        return hess_coef * halves(d)[0]
 
     def angle_sum(d: np.ndarray) -> tuple[float, np.ndarray]:
         # weighted base angles sum to pi/2 exactly, so only deviations remain
@@ -197,13 +252,12 @@ def _build_problem(member: AngleParamB | AngleParamQ) -> NlpProblem:
         return np.zeros(dim)
 
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
-        phi = base_phases + member.phases(d)
-        val = math.fsum([const] + (signs * np.sin(phi)).tolist())
-        suffix = np.cumsum((signs * np.cos(phi))[::-1])[::-1]
-        return val, weights * np.append(suffix, 0.0)
+        sines, cosines = signed_phases(d)
+        suffix = np.cumsum(cosines[::-1])[::-1]
+        return math.fsum([const] + sines.tolist()), weights * np.concatenate((suffix, [0.0]))
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
-        return np.append(-signs * np.sin(base_phases + member.phases(d)), 0.0)
+        return np.concatenate((-signed_phases(d)[0], [0.0]))
 
     return NlpProblem(
         family=member._FAMILY, n=n, dim=dim, base_angle=base,
@@ -232,9 +286,13 @@ def build_q_problem(n: int) -> NlpProblem:
 
 
 def _evaluate(problem: NlpProblem, d: np.ndarray):
+    """The objective, its gradient, the two equality residuals as floats and
+    their Jacobian at ``d``."""
     f, gf = problem.objective(d)
-    vals, grads = zip(*(c(d) for c in problem.eq_constraints))
-    return f, gf, np.array(vals), np.array(grads)
+    angle_sum, closure = problem.eq_constraints
+    c0, g0 = angle_sum(d)
+    c1, g1 = closure(d)
+    return f, gf, (c0, c1), np.array((g0, g1))
 
 
 def _bordered(problem: NlpProblem, d: np.ndarray, w: np.ndarray, mult: float,
@@ -248,18 +306,24 @@ def _bordered(problem: NlpProblem, d: np.ndarray, w: np.ndarray, mult: float,
     u = -problem.objective_hessian(d) / (w * w)
     diag, off = u - mult * problem.eq_hessians[1](d), -u[1:]
     diag[:-1] += u[1:]
-    piv, low = diag[:-1].tolist(), off[:-1].tolist()
-    q = rows / w
-    ys = (q[:, :-1] - q[:, 1:]).tolist()  # M^T rows, less the last phase
-    for i in range(1, len(piv)):
-        m = low[i - 1] / piv[i - 1]
-        piv[i] -= m * low[i - 1]
-        low[i - 1] = m
-    for y in ys:
-        for i in range(1, len(y)):
-            y[i] -= low[i - 1] * y[i - 1]
-    if not piv[-1]:
+    entries = diag[:-1].tolist()
+    pivot = entries[0]
+    piv, low = [pivot], []
+    for a, b in zip(entries[1:], off[:-1].tolist()):
+        m = b / pivot
+        pivot = a - m * b
+        low.append(m)
+        piv.append(pivot)
+    if not pivot:
         raise ZeroDivisionError("zero pivot")
+    q = rows / w
+    ys = []
+    for row in (q[:, :-1] - q[:, 1:]).tolist():  # M^T rows, less the last phase
+        y = row[0]
+        ys.append([y])
+        for r, m in zip(row[1:], low):
+            y = r - m * y
+            ys[-1].append(y)
     return diag, off, np.array(piv), low, np.array(ys)
 
 
@@ -275,38 +339,47 @@ def _newton_kkt(problem, d, lo, hi, max_iter):
     multiplier's step.  Steps are capped at 0.05 per coordinate and clipped
     to the box; the best iterate by KKT merit is kept, and a singular system
     ends the run.  Returns the best iterate, the iteration count and the
-    best iterate's evaluation; each iterate is evaluated once.
+    best iterate's evaluation; each iterate is evaluated once, at a new
+    read-only array.
     """
     ev = _evaluate(problem, d)
     _, gf, c, J = ev
     lam = np.linalg.lstsq(J.T, -gf, rcond=None)[0]
+    lam_sum, lam_closure = lam.tolist()
     iters = 0
     norm = math.inf
     best = (math.inf, d, ev)
     for _ in range(max_iter + 1):
-        _, gf, c, J = ev
+        _, gf, (c_sum, c_closure), J = ev
         r_stat = -gf - J.T @ lam
-        merit = float(max(np.abs(r_stat).max(), np.abs(c).max()))
+        merit = max(float(np.abs(r_stat).max()), abs(c_sum), abs(c_closure))
         if merit < best[0]:
             best = (merit, d, ev)
         if merit <= 1e-14 or iters == max_iter or norm < STEP_TOL:
             break
         try:
-            diag, off, piv, low, (yb, yg) = _bordered(problem, d, J[0], lam[1],
+            diag, off, piv, low, (yb, yg) = _bordered(problem, d, J[0], lam_closure,
                                                       np.array((-r_stat, J[1])))
-            yb[-1] += off[-1] * c[0]
-            mu = -float(c[1] + yg @ (yb / piv)) / float(yg @ (yg / piv))
+            yb[-1] += off[-1] * c_sum
+            mu = -(c_closure + float(yg @ (yb / piv))) / float(yg @ (yg / piv))
         except ZeroDivisionError:
             break
-        p = ((yb + mu * yg) / piv).tolist() + [-c[0]]
-        for i in range(len(p) - 3, -1, -1):
-            p[i] -= low[i] * p[i + 1]
+        z = ((yb + mu * yg) / piv).tolist()
+        x = z[-1]
+        p = [-c_sum, x]  # back substitution, last phase first
+        for zi, m in zip(z[-2::-1], low[::-1]):
+            x = zi - m * x
+            p.append(x)
+        p.reverse()
         step = np.subtract(p, [0.0] + p[:-1]) / J[0]
         norm = float(np.abs(step).max())
         if norm > 0.05:
             step = step * (0.05 / norm)
         d = np.minimum(np.maximum(d + step, lo), hi)
-        lam = lam + (off[-1] * p[-2] - diag[-1] * c[0] + r_stat[-1] / J[0, -1], mu)
+        d.flags.writeable = False
+        lam_sum += off[-1] * p[-2] - diag[-1] * c_sum + r_stat[-1] / J[0, -1]
+        lam_closure += mu
+        lam = np.array((lam_sum, lam_closure))
         iters += 1
         ev = _evaluate(problem, d)
     return best[1], iters, best[2]
@@ -339,8 +412,8 @@ def _final_report_parts(problem, d, lo, hi, ev):
     try:
         _, _, piv, _, Y = _bordered(problem, d, J[0], -lam[1], np.concatenate((J[1:], boxes)))
         eig = np.linalg.eigvalsh(-(Y / piv) @ Y.T)
-        tol = max(Y.shape) * np.finfo(float).eps * float(np.max(np.abs(eig)))
-        definite = int((piv > 0.0).sum() + (eig > tol).sum()) == len(piv)
+        tol = max(Y.shape) * EPS * float(np.abs(eig).max())
+        definite = np.count_nonzero(piv > 0.0) + np.count_nonzero(eig > tol) == len(piv)
     except ZeroDivisionError:
         definite = False
     return f, (float(c[0]), float(c[1])), kkt, definite
@@ -358,12 +431,14 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
     :func:`bounds.gap_constants`.  Otherwise :class:`NonConvergenceError`,
     carrying the report, names each failure.
     """
-    cfg = config or SolverConfig()
+    cfg = config or _DEFAULT_CONFIG
     lo = -problem.base_angle
     hi = problem.upper - problem.base_angle
-    warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
+    warm_dev = np.minimum(np.maximum(problem.warm_start - problem.base_angle, lo), hi)
+    warm_dev.flags.writeable = False
     d, iters, ev = _newton_kkt(problem, warm_dev, lo, hi, cfg.max_outer)
     obj, eq_res, kkt, definite = _final_report_parts(problem, d, lo, hi, ev)
+    gap = perimeter_gap(problem.n, ev[3][0], d)
     failed = []
     eq = max(abs(eq_res[0]), abs(eq_res[1]))
     if not eq <= cfg.tol_eq:
@@ -375,14 +450,14 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
     report = SolveReport(
         family=problem.family, n=problem.n,
         angles=tuple((problem.base_angle + d).tolist()),
-        objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
+        objective=obj, perimeter_gap=gap, eq_residuals=eq_res, kkt_residual=kkt,
         iterations=iters, starts_used=1, converged=not failed,
     )
     # perimeters, unlike their gaps to ub_L, tie in binary64 from b1024; n^p
     # is a power of two, so dividing the scaled gap by it rounds nothing
     law = f"{problem.family}-perimeter"
     member_gap = gap_constants(law, problem.n) / problem.n ** GAP_LAWS[law][0]
-    if not perimeter_gap(problem.n, ev[3][0], d) <= member_gap:
+    if not gap <= member_gap:
         failed.append("objective below the family member")
     if failed:
         raise NonConvergenceError(

@@ -54,6 +54,7 @@ import math
 
 import numpy as np
 
+from smallpoly.bounds import perimeter_gap
 from smallpoly.cli import SVG_SCALE
 from smallpoly.constructions import b_angles, q_angles
 from smallpoly.geometry import DIAMETER_TOL, _json17, diameter
@@ -543,7 +544,7 @@ def _block_newton_kkt(problem, d, lo, hi, max_iter):
         W = -problem.objective_hessian(d) - _constraint_hess_combo(problem, d, lam)
         k = len(c)
         kkt = np.block([[W, -J.T], [J, np.zeros((k, k))]])
-        rhs = np.concatenate((-r_stat, -c))
+        rhs = np.concatenate((-r_stat, np.negative(c)))
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
@@ -638,7 +639,8 @@ def block_kkt_solve(problem, config=None, starts=None):
         report = SolveReport(
             family=problem.family, n=problem.n,
             angles=tuple(float(a) for a in problem.base_angle + d),
-            objective=obj, eq_residuals=eq_res, kkt_residual=kkt,
+            objective=obj, perimeter_gap=perimeter_gap(problem.n, ev[3][0], d),
+            eq_residuals=eq_res, kkt_residual=kkt,
             iterations=iters, starts_used=s + 1, converged=converged,
         )
         if converged and obj >= member_obj:

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from smallpoly import (
@@ -111,6 +111,8 @@ def test_sweep_matches_pairwise_oracle_on_convex_polygons(poly):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=40))
+# scaling into [-1, 1] flushes 5e-324 to 0: the hull must sort what it tests
+@example([(0.0, 0.0), (0.0, 1.0), (5e-324, 0.0)])
 def test_sweep_matches_pairwise_diameter_on_point_sets(points):
     poly = SmallPolygon.from_coords(points)
     if is_convex(poly):

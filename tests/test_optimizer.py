@@ -19,7 +19,7 @@ from smallpoly import (
     solve,
     upper_bounds,
 )
-from smallpoly.bounds import b_alternation, q_alternation
+from smallpoly.bounds import b_alternation, perimeter_gap, q_alternation
 from smallpoly.optimizer import _evaluate, _final_report_parts
 
 from _reference import (
@@ -376,6 +376,24 @@ def test_report_json_round_trip():
     assert len(doc["angles"]) == 4
     assert doc["converged"] is True
     assert all(isinstance(a, float) for a in doc["angles"])
+    assert doc["perimeter_gap"] == report.perimeter_gap
+
+
+@pytest.mark.parametrize("builder,n", [
+    *((build_b_problem, 2 ** s) for s in range(3, 8)),
+    *((build_q_problem, 2 ** s) for s in range(2, 8)),
+])
+def test_report_carries_the_gap_to_the_perimeter_bound(builder, n):
+    report = solve(builder(n))
+    assert 0.0 < report.perimeter_gap
+    # ub_L - objective cancels all but about 1e-11 at n = 128, leaving
+    # an error of a few ulp of pi
+    assert math.isclose(report.perimeter_gap, upper_bounds(n).ubL - report.objective,
+                        rel_tol=1e-4)
+    # the angles are rounded pi/n + d, so the gap rebuilt from them is close, not equal
+    d = np.array(report.angles) - math.pi / n
+    weights = builder(n).eq_constraints[0](d)[1]
+    assert math.isclose(report.perimeter_gap, perimeter_gap(n, weights, d), rel_tol=5e-11)
 
 
 def _sums_match(a, b, dim):
@@ -524,3 +542,100 @@ def test_inertia_certificate_equals_the_eigvalsh_sign_and_the_cholesky_test():
             assert np.all((d <= lo + 1e-12) | (d >= hi - 1e-12)) and negative_definite
         verdicts.append(negative_definite)
     assert verdicts.count(False) == 3  # the three negated optima
+
+
+def _trig_counting(monkeypatch):
+    """Patch ``np.sin`` and ``np.cos`` to log their names; returns the log."""
+    log = []
+    for name in ("sin", "cos"):
+        def counted(x, fn=getattr(np, name), name=name):
+            log.append(name)
+            return fn(x)
+        monkeypatch.setattr(np, name, counted)
+    return log
+
+
+def _per_call_trig(problem, log):
+    """``problem`` with each callable recording, per call, the trig calls
+    it made; returns it and the record, keyed by callable."""
+    made = {key: [] for key in ("objective", "objective_hessian", "angle_sum",
+                                "closure", "angle_sum_hessian", "closure_hessian")}
+
+    def tally(key, fn):
+        def counted(d):
+            start = len(log)
+            out = fn(d)
+            made[key].append(log[start:])
+            return out
+        return counted
+
+    return dataclasses.replace(
+        problem,
+        objective=tally("objective", problem.objective),
+        objective_hessian=tally("objective_hessian", problem.objective_hessian),
+        eq_constraints=(tally("angle_sum", problem.eq_constraints[0]),
+                        tally("closure", problem.eq_constraints[1])),
+        eq_hessians=(tally("angle_sum_hessian", problem.eq_hessians[0]),
+                     tally("closure_hessian", problem.eq_hessians[1])),
+    ), made
+
+
+@pytest.mark.parametrize("builder,n", [(build_b_problem, 256), (build_q_problem, 128)])
+def test_each_iterate_takes_one_trigonometric_pass_per_function(builder, n, monkeypatch):
+    problem = builder(n)
+    log = _trig_counting(monkeypatch)
+    counted, made = _per_call_trig(problem, log)
+    report = solve(counted)
+    iterates = report.iterations + 1
+    assert made["objective"] == made["closure"] == [["sin", "cos"]] * iterates
+    assert made["angle_sum"] == [[]] * iterates
+    # the Newton steps and the certificate read the Hessians at evaluated
+    # iterates: every sine they need was computed there
+    assert len(made["objective_hessian"]) == len(made["closure_hessian"]) == iterates
+    for key in ("objective_hessian", "closure_hessian", "angle_sum_hessian"):
+        assert made[key] == [[]] * len(made[key])
+
+
+@pytest.mark.parametrize("builder", [build_b_problem, build_q_problem])
+def test_hessians_at_an_array_changed_in_place_are_fresh(builder):
+    problem, fresh = builder(16), builder(16)
+    start = problem.warm_start - problem.base_angle
+    writable = start.copy()
+    owner = start.copy()
+    view = owner[:]
+    view.flags.writeable = False  # read-only, but its owner is not
+    for d, change in ((writable, writable), (view, owner)):
+        problem.objective(d)
+        problem.eq_constraints[1](d)
+        change += 1e-3
+        assert np.array_equal(problem.objective_hessian(d), fresh.objective_hessian(d.copy()))
+        assert np.array_equal(problem.eq_hessians[1](d), fresh.eq_hessians[1](d.copy()))
+
+
+def _uncached_hessians(problem):
+    """``problem`` with both Hessian callables computing their sines afresh,
+    by the formulas of the problem builder."""
+    n, base = problem.n, problem.base_angle
+    member = (b_angles if problem.family == "b" else q_angles)(n)
+    weights = problem.eq_constraints[0](np.zeros(problem.dim))[1]
+    base_phases = np.cumsum(weights[:-1]) * base
+    signs = (-1.0) ** np.arange(problem.dim - 1)
+
+    def objective_hessian(d):
+        return -4.0 * weights / 4 * np.sin((base + d) / 2)
+
+    def closure_hessian(d):
+        return np.append(-signs * np.sin(base_phases + member.phases(d)), 0.0)
+
+    return dataclasses.replace(problem, objective_hessian=objective_hessian,
+                               eq_hessians=(problem.eq_hessians[0], closure_hessian))
+
+
+@pytest.mark.parametrize("builder,n", [
+    (build_b_problem, 8), (build_b_problem, 256), (build_q_problem, 4), (build_q_problem, 128),
+])
+def test_reused_sines_leave_the_report_unchanged(builder, n):
+    problem = builder(n)
+    cached, uncached = solve(problem), solve(_uncached_hessians(problem))
+    for field in dataclasses.fields(cached):
+        assert getattr(cached, field.name) == getattr(uncached, field.name), field.name
