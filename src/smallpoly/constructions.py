@@ -257,7 +257,7 @@ class AngleParamB(_AngleParam):
     @staticmethod
     def phases(a: np.ndarray) -> np.ndarray:
         """phi_r = a_0 + 2 (a_1 + .. + a_r) for r < n/4."""
-        return a[0] + np.concatenate(([0.0], np.cumsum(2.0 * a[1:-1])))
+        return a[0] + np.concatenate(([0.0], (2.0 * a[1:-1]).cumsum()))
 
 
 class AngleParamQ(_AngleParam):
@@ -285,7 +285,7 @@ class AngleParamQ(_AngleParam):
     @staticmethod
     def phases(a: np.ndarray) -> np.ndarray:
         """phi_r = a_0 + .. + a_r for r < n/2 - 1."""
-        return np.cumsum(a[:-1])
+        return a[:-1].cumsum()
 
 
 def _alternating_angles(n: int, offset: float, dim: int) -> np.ndarray:

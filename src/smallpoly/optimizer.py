@@ -20,12 +20,15 @@ the fundamental harmonic of their square wave, where the optimum's lie
 psi = cumsum(w * d), where the closure's Hessian is diagonal, the
 objective's tridiagonal and the angle sum is psi_last alone: eliminating it
 leaves a tridiagonal system bordered by the closure row, one LDL^T pass and
-a scalar Schur complement, O(dim) per iteration.  A report counts as
-converged only when its residuals are small and the reduced Hessian of the
-Lagrangian on the null space of the active constraints is negative definite
-(section 12.5), a strict local maximum; the same factorization's inertia
-decides that (theorem 16.3; Gould, Math. Programming 32, 1985).  The solve uses no RNG,
-so identical configurations reproduce bit-identical reports.
+a scalar Schur complement, O(dim) per iteration.  The multipliers are
+fitted by least squares from the 2x2 normal equations, refined once
+(:func:`_multipliers`).  A report counts as converged only when its
+residuals are small and the reduced Hessian of the Lagrangian on the null
+space of the active constraints is negative definite (section 12.5), a
+strict local maximum; the same factorization's inertia decides that
+(theorem 16.3; Gould, Math. Programming 32, 1985), from its pivots alone
+when they are all positive.  No default solve calls LAPACK.  The solve uses
+no RNG, so identical configurations reproduce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def _build_problem(member: AngleParamB | AngleParamQ) -> NlpProblem:
     n, dim = member.n, len(member.alphas)
     base = math.pi / n
     weights = member.weights(dim)
-    base_phases = np.cumsum(weights[:-1]) * base
+    base_phases = weights[:-1].cumsum() * base
     coef = 4.0 * weights
     const = member._CLOSURE
     warm = member.alphas
@@ -253,7 +256,7 @@ def _build_problem(member: AngleParamB | AngleParamQ) -> NlpProblem:
 
     def closure(d: np.ndarray) -> tuple[float, np.ndarray]:
         sines, cosines = signed_phases(d)
-        suffix = np.cumsum(cosines[::-1])[::-1]
+        suffix = cosines[::-1].cumsum()[::-1]
         return math.fsum([const] + sines.tolist()), weights * np.concatenate((suffix, [0.0]))
 
     def closure_hessian(d: np.ndarray) -> np.ndarray:
@@ -327,10 +330,29 @@ def _bordered(problem: NlpProblem, d: np.ndarray, w: np.ndarray, mult: float,
     return diag, off, np.array(piv), low, np.array(ys)
 
 
+def _multipliers(J: np.ndarray, t: np.ndarray) -> list[float]:
+    """The least-squares multipliers of J^T lam = t for the two-row J.
+
+    Cramer's rule on the normal equations J J^T lam = J t, then one
+    refinement step lam += (J J^T)^-1 J (t - J^T lam): t carries an O(1)
+    part that cancels inside J t, and the step recovers what that rounding
+    lost.  Rows within about 1e-4 rad of parallel, rank one included, get
+    the minimum-norm answer of ``np.linalg.lstsq`` instead.
+    """
+    (a, b), (_, c) = (J @ J.T).tolist()
+    det = a * c - b * b
+    if not det > math.sqrt(EPS) * a * c:
+        return np.linalg.lstsq(J.T, t, rcond=None)[0].tolist()
+    y0, y1 = (J @ t).tolist()
+    lam = [(c * y0 - b * y1) / det, (a * y1 - b * y0) / det]
+    y0, y1 = (J @ (t - J.T @ lam)).tolist()
+    return [lam[0] + (c * y0 - b * y1) / det, lam[1] + (a * y1 - b * y0) / det]
+
+
 def _newton_kkt(problem, d, lo, hi, max_iter):
     """Newton iterations on the stationarity + feasibility system.
 
-    The multipliers start from a least-squares fit at ``d``.  Each step
+    The multipliers start from :func:`_multipliers`' fit at ``d``.  Each step
     solves [[W, -J^T], [J, 0]] (p, dlam) = -(r_stat, c) in the phases: the
     angle-sum row e_last fixes p_last = -c[0], the closure row g = M^T J[1]
     ends in 0, and T p - mu g = b, g.p = -c[1] remain, b = -M^T r_stat less
@@ -344,8 +366,8 @@ def _newton_kkt(problem, d, lo, hi, max_iter):
     """
     ev = _evaluate(problem, d)
     _, gf, c, J = ev
-    lam = np.linalg.lstsq(J.T, -gf, rcond=None)[0]
-    lam_sum, lam_closure = lam.tolist()
+    lam_sum, lam_closure = _multipliers(J, -gf)
+    lam = np.array((lam_sum, lam_closure))
     iters = 0
     norm = math.inf
     best = (math.inf, d, ev)
@@ -386,7 +408,7 @@ def _newton_kkt(problem, d, lo, hi, max_iter):
 
 
 def _final_report_parts(problem, d, lo, hi, ev):
-    """Refit multipliers by least squares; measure residuals and curvature.
+    """Refit multipliers (:func:`_multipliers`); measure residuals and curvature.
 
     ``ev`` is ``_evaluate(problem, d)``.  Returns the objective, both
     equality residuals, the box-aware stationarity norm, and whether the
@@ -397,9 +419,12 @@ def _final_report_parts(problem, d, lo, hi, ev):
     K has r more positive eigenvalues than the reduced T (Gould), so that is
     definite exactly when K has one per row of T, counted over T's pivots
     and the Schur complement -B^T T^-1 B; a zero pivot is not certified.
+    When every pivot is positive, T is positive definite, the Schur
+    complement negative semidefinite, and the count is met without its
+    eigenvalues, as at every default optimum.
     """
     f, gf, c, J = ev
-    lam, *_ = np.linalg.lstsq(J.T, gf, rcond=None)
+    lam = _multipliers(J, gf)
     # box-aware stationarity: at an active bound only the inward-pushing
     # component counts against optimality of the maximization problem
     proj = gf - J.T @ lam
@@ -411,9 +436,12 @@ def _final_report_parts(problem, d, lo, hi, ev):
     boxes = np.arange(len(d)) == np.flatnonzero(at_lo | at_hi)[:, None]
     try:
         _, _, piv, _, Y = _bordered(problem, d, J[0], -lam[1], np.concatenate((J[1:], boxes)))
-        eig = np.linalg.eigvalsh(-(Y / piv) @ Y.T)
-        tol = max(Y.shape) * EPS * float(np.abs(eig).max())
-        definite = np.count_nonzero(piv > 0.0) + np.count_nonzero(eig > tol) == len(piv)
+        if piv.min() > 0.0:
+            definite = True
+        else:
+            eig = np.linalg.eigvalsh(-(Y / piv) @ Y.T)
+            tol = max(Y.shape) * EPS * float(np.abs(eig).max())
+            definite = np.count_nonzero(piv > 0.0) + np.count_nonzero(eig > tol) == len(piv)
     except ZeroDivisionError:
         definite = False
     return f, (float(c[0]), float(c[1])), kkt, definite
@@ -422,11 +450,11 @@ def _final_report_parts(problem, d, lo, hi, ev):
 def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveReport:
     """One Newton-KKT solve from the problem's warm start, clipped to the box.
 
-    The report counts as converged when both equality residuals are within
-    ``tol_eq``, the projected stationarity norm is within ``tol_kkt``, and
-    the reduced Hessian is negative definite (a strict local maximum).  It
-    is returned when it converged with a perimeter at least the analytic
-    family member's, compared by their gaps to ub_L: the optimum's from
+    The report counts as converged, and is returned, when both equality
+    residuals are within ``tol_eq``, the projected stationarity norm is
+    within ``tol_kkt``, the reduced Hessian is negative definite (a strict
+    local maximum), and the perimeter is at least the analytic family
+    member's, compared by their gaps to ub_L: the optimum's from
     :func:`bounds.perimeter_gap`, the member's closed form from
     :func:`bounds.gap_constants`.  Otherwise :class:`NonConvergenceError`,
     carrying the report, names each failure.
@@ -447,18 +475,18 @@ def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveRepor
         failed.append(f"KKT residual {kkt:.2g} > tol_kkt {cfg.tol_kkt:.2g}")
     if not definite:
         failed.append("reduced Hessian not negative definite")
-    report = SolveReport(
-        family=problem.family, n=problem.n,
-        angles=tuple((problem.base_angle + d).tolist()),
-        objective=obj, perimeter_gap=gap, eq_residuals=eq_res, kkt_residual=kkt,
-        iterations=iters, starts_used=1, converged=not failed,
-    )
     # perimeters, unlike their gaps to ub_L, tie in binary64 from b1024; n^p
     # is a power of two, so dividing the scaled gap by it rounds nothing
     law = f"{problem.family}-perimeter"
     member_gap = gap_constants(law, problem.n) / problem.n ** GAP_LAWS[law][0]
     if not gap <= member_gap:
         failed.append("objective below the family member")
+    report = SolveReport(
+        family=problem.family, n=problem.n,
+        angles=tuple((problem.base_angle + d).tolist()),
+        objective=obj, perimeter_gap=gap, eq_residuals=eq_res, kkt_residual=kkt,
+        iterations=iters, starts_used=1, converged=not failed,
+    )
     if failed:
         raise NonConvergenceError(
             f"no certified maximum for family {problem.family!r}, n={problem.n}: "

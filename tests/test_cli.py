@@ -185,6 +185,16 @@ def test_table_t4_ratio_is_its_40_digit_value_rounded_at_every_n(capsys):
     assert [line.split(",")[-1] for line in out.strip().splitlines()[1:]] == ["0.1894"] * 3
 
 
+def test_large_b_reaches_the_optimum_in_table_and_optimize(capsys):
+    # 1 - 8/pi^2 = 0.18943 is T4's ratio in the limit
+    code, out, _ = run(capsys, "table", "--id", "4", "--n", "16384")
+    assert code == EXIT_OK
+    assert out.strip().splitlines()[1].split(",")[-1] == "0.1894"
+    code, out, _ = run(capsys, "optimize", "--problem", "b", "--n", "65536")
+    assert code == EXIT_OK
+    assert json.loads(out)["converged"] is True
+
+
 def test_table_t5_t6_angle_rows(capsys):
     code, out, _ = run(capsys, "table", "--id", "5", "--n", "8")
     assert code == EXIT_OK

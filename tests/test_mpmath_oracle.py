@@ -7,7 +7,9 @@ and solves their KKT system to 40 digits; nothing here is computed by
 own error: angles within n * 4e-16 and objectives within 1e-15 of the
 optimum.  The same optima hold the solver's warm start, the optimum's
 Fourier profile, within its stated relative error, and, extrapolated from
-n = 32 .. 256, the limits of ``bounds.OPTIMUM_GAP_LIMITS``.
+n = 32 .. 256, the limits of ``bounds.OPTIMUM_GAP_LIMITS``.  The solver's
+least-squares multipliers are no further from a 50-digit fit of the same
+binary64 Jacobian and gradient than ``np.linalg.lstsq``'s.
 
 Closed forms and gap laws: every closed form, and every scaled gap
 n^p (bound - value) of ``GAP_LAWS``, evaluated from its definition at 50
@@ -40,6 +42,7 @@ from smallpoly import (
 )
 from smallpoly.bounds import OPTIMUM_GAP_LIMITS, perimeter_gap, ubw_step
 from smallpoly.cli import EXIT_OK, main
+from smallpoly.optimizer import _evaluate, _multipliers
 
 mp = pytest.importorskip("mpmath")
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -101,6 +104,26 @@ def test_optimum_gap_limits_match_extrapolated_40_digit_optima(family):
                     for coarse, fine in zip(gaps, gaps[1:])]
         assert abs(gaps[0] - limit) <= 1e-9 * limit
         assert limit == pytest.approx(8 / math.pi ** 2 * GAP_LAWS[law][1], rel=1e-15)
+
+
+@pytest.mark.parametrize("family,n", [("b", 64), ("b", 1024), ("b", 16384), ("b", 32768),
+                                      ("q", 128), ("q", 4096)])
+def test_multipliers_are_no_further_from_the_50_digit_fit_than_lstsq(family, n):
+    # the least-squares lam of J^T lam = t for the binary64 J and t at the
+    # warm start, solved from exact 50-digit normal equations
+    problem = BUILDERS[family](n)
+    d = problem.warm_start - problem.base_angle
+    _, t, _, J = _evaluate(problem, d)
+    with mp.workdps(50):
+        rows = [[mp.mpf(x) for x in row] for row in J.tolist()]
+        rhs = [mp.mpf(x) for x in t.tolist()]
+        normal = mp.matrix([[mp.fsum(map(mp.fmul, a, b)) for b in rows] for a in rows])
+        exact = mp.lu_solve(normal, mp.matrix([mp.fsum(map(mp.fmul, a, rhs)) for a in rows]))
+
+        def error(lam):
+            return max(abs(mp.mpf(x) - y) for x, y in zip(lam, exact))
+
+        assert error(_multipliers(J, t)) <= error(np.linalg.lstsq(J.T, t, rcond=None)[0])
 
 
 REL_TOL = 2e-15

@@ -15,12 +15,13 @@ from smallpoly import (
     build_q_problem,
     certify,
     closed_form,
+    optimizer,
     q_angles,
     solve,
     upper_bounds,
 )
-from smallpoly.bounds import b_alternation, perimeter_gap, q_alternation
-from smallpoly.optimizer import _evaluate, _final_report_parts
+from smallpoly.bounds import b_alternation, gap_constants, perimeter_gap, q_alternation
+from smallpoly.optimizer import _evaluate, _final_report_parts, _multipliers
 
 from _reference import (
     OPTIMAL_ANGLES_B,
@@ -236,7 +237,8 @@ def test_solve_is_deterministic():
 
 
 def test_impossible_tolerances_raise_non_convergence():
-    cfg = SolverConfig(tol_eq=0.0, tol_kkt=0.0)
+    # one iteration leaves both residuals above zero, so both are named
+    cfg = SolverConfig(max_outer=1, tol_eq=0.0, tol_kkt=0.0)
     with pytest.raises(NonConvergenceError) as err:
         solve(build_b_problem(8), cfg)
     report = err.value.report
@@ -246,6 +248,55 @@ def test_impossible_tolerances_raise_non_convergence():
     assert str(err.value) == (
         "no certified maximum for family 'b', n=8: "
         f"eq residual {eq:.2g} > tol_eq 0; KKT residual {report.kkt_residual:.2g} > tol_kkt 0")
+
+
+def test_a_solve_below_the_family_member_reports_unconverged(monkeypatch):
+    # a member gap of 0 fails only the member check, which is decided
+    # before the report is built
+    monkeypatch.setattr(optimizer, "gap_constants", lambda law, n: 0.0)
+    with pytest.raises(NonConvergenceError) as err:
+        solve(build_b_problem(8))
+    assert str(err.value) == ("no certified maximum for family 'b', n=8: "
+                              "objective below the family member")
+    assert err.value.report.converged is False
+
+
+def test_default_solves_call_no_lapack(monkeypatch):
+    # the multipliers come from 2x2 normal equations and, T being positive
+    # definite at every default optimum, the certificate from T's pivots
+    def refused(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    for builder, least in ((build_b_problem, 3), (build_q_problem, 2)):
+        for s in range(least, 17):
+            assert solve(builder(2 ** s)).converged
+
+
+def test_a_rank_one_jacobian_gets_the_minimum_norm_multipliers():
+    # with the closure gradient zero, J J^T is singular: lstsq's answer,
+    # not a ZeroDivisionError, and the solve ends uncertified
+    problem = build_b_problem(16)
+    closure = problem.eq_constraints[1]
+    flat = dataclasses.replace(problem, eq_constraints=(
+        problem.eq_constraints[0], lambda d: (closure(d)[0], np.zeros(problem.dim))))
+    d = problem.warm_start - problem.base_angle
+    _, gf, _, J = _evaluate(flat, d)
+    assert not J[1].any()
+    expected = np.linalg.lstsq(J.T, gf, rcond=None)[0]
+    assert np.array_equal(_multipliers(J, gf), expected) and expected[1] == 0.0
+    with pytest.raises(NonConvergenceError):
+        solve(flat)
+
+
+@pytest.mark.parametrize("n", [2 ** 14, 2 ** 15, 2 ** 16])
+def test_large_b_gains_8_over_pi_squared_of_the_members_gap(n):
+    # n^6 (ub_L - L_opt) -> pi^5/4, 8/pi^2 = 0.8106 of the member's law;
+    # from b16384 on the warm start already meets the merit stop
+    report = solve(build_b_problem(n))
+    member = gap_constants("b-perimeter", n) / n ** 6
+    assert 0.8105 <= report.perimeter_gap / member <= 0.8107
+    assert report.iterations == 0
 
 
 @pytest.mark.parametrize("builder,n", [
