@@ -59,7 +59,6 @@ from .optimizer import (
     NlpProblem,
     NonConvergenceError,
     SolveReport,
-    SolverConfig,
     build_b_problem,
     build_q_problem,
     certify,
@@ -73,7 +72,7 @@ __all__ = [
     "DIAMETER_TOL", "Family", "GAP_LAWS", "InfeasibleAnglesError",
     "InvalidPolygonError", "MetricsReport", "NlpProblem", "NonConvexError",
     "NonConvergenceError", "SmallPolygon", "SolveReport",
-    "SolverConfig", "UnknownFamilyError", "area", "b_alternation", "b_angles",
+    "UnknownFamilyError", "area", "b_alternation", "b_angles",
     "b_family", "build_b_problem", "build_q_problem", "certify",
     "closed_form", "diameter", "extract_angles_b", "extract_angles_q",
     "from_angles_b", "from_angles_q", "gap_constants", "is_convex", "measure",

@@ -7,9 +7,7 @@ codes: 0 ok, 1 check/data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -48,7 +46,6 @@ from .geometry import (
 from .optimizer import (
     CertificationError,
     NonConvergenceError,
-    SolverConfig,
     build_b_problem,
     build_q_problem,
     solve,
@@ -110,6 +107,8 @@ def build_polygon(family: str, n: int, m: int | None = None) -> SmallPolygon:
     """Construct a family polygon from CLI-style parameters."""
     if family not in _BUILDERS:
         raise UsageError(f"unknown family {family!r}; choose from {sorted(_BUILDERS)}")
+    if m is not None and family != "reuleaux":
+        raise UsageError(f"--m applies only to --family reuleaux, got --family {family}")
     return _BUILDERS[family](n, m)
 
 
@@ -206,14 +205,15 @@ def _row_decimals(n: int, digits: int | None) -> int:
     return 12 if n == 128 else 10
 
 
-def table_csv(spec: TableSpec, digits: int | None = None,
-              config: SolverConfig | None = None) -> str:
+def table_csv(spec: TableSpec, digits: int | None = None) -> str:
     """Render one of the six reference tables as CSV text.
 
     The value columns print 10 decimals by default and 12 for the n=128
     entries that need them to stay distinguishable; ratios print 4 decimals;
     angle tables print 6 significant digits.  ``digits`` overrides the
-    defaults.  The optimal-perimeter and angle tables run the optimizer.
+    defaults: decimals in T1-T4, significant digits in T5 and T6.  T1 takes
+    n = 8 ... 128, where Mossinghoff's perimeters are stored.  The
+    optimal-perimeter and angle tables run the optimizer.
     """
     if digits is not None and digits < 0:
         raise UsageError(f"--digits must be >= 0, got {digits}")
@@ -263,8 +263,8 @@ def table_csv(spec: TableSpec, digits: int | None = None,
             dec = _row_decimals(n, digits)
             lb, _ = bounds.closed_form("b", n)
             ub = bounds.upper_bounds(n).ubL
-            lq = solve(build_q_problem(n), config).objective
-            b_opt = solve(build_b_problem(n), config)
+            lq = solve(build_q_problem(n)).objective
+            b_opt = solve(build_b_problem(n))
             # (L_b_opt - L_b) / (ub_L - L_b) = 1 - (ub_L - L_b_opt) / (ub_L - L_b),
             # both gaps free of cancellation (ub_L - L_b is below one ulp of pi
             # from n = 1024 on)
@@ -276,7 +276,7 @@ def table_csv(spec: TableSpec, digits: int | None = None,
         out.append("n,pi_over_n,k,alpha")
         for n in spec.n_values:
             build = build_b_problem if tid == "T5_b_angles" else build_q_problem
-            report = solve(build(n), config)
+            report = solve(build(n))
             head = f"{n},{math.pi / n:.{sig}g},"
             out += [f"{head}{k},{alpha:.{sig}g}" for k, alpha in enumerate(report.angles)]
     return "\n".join(out) + "\n"
@@ -484,9 +484,6 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 def _make_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output file (default stdout)")
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", default=None,
-                        help="solver config: inline JSON or a path to a JSON file")
 
     parser = argparse.ArgumentParser(
         prog="smallpoly",
@@ -504,20 +501,20 @@ def _make_parser() -> argparse.ArgumentParser:
                                help="metrics report for a polygon JSON file")
     p_measure.add_argument("in_path")
 
-    p_table = sub.add_parser("table", parents=[out, config],
+    p_table = sub.add_parser("table", parents=[out],
                              help="emit one of the six reference tables as CSV")
     p_table.add_argument("--id", required=True, dest="table_id",
                          choices=TABLE_IDS + tuple(str(i) for i in range(1, 7)))
     p_table.add_argument("--n", default=None,
                          help="comma-separated vertex counts (default 8,16,32,64,128)")
     p_table.add_argument("--digits", type=int, default=None,
-                         help="override table decimal digits")
+                         help="decimals of T1-T4, significant digits of T5-T6")
 
     p_render = sub.add_parser("render", help="render a polygon JSON file to SVG")
     p_render.add_argument("in_path")
     p_render.add_argument("--out", required=True, help="output SVG file")
 
-    p_opt = sub.add_parser("optimize", parents=[out, config],
+    p_opt = sub.add_parser("optimize", parents=[out],
                            help="solve a maximal-perimeter problem")
     p_opt.add_argument("--problem", required=True, choices=("b", "q"))
     p_opt.add_argument("--n", type=int, required=True)
@@ -528,19 +525,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--polygon", action="append", default=[],
                           help="also validate this polygon JSON file (repeatable)")
     return parser
-
-
-def _load_config(text: str | None) -> SolverConfig | None:
-    """Solver config from the file ``text`` names, or else from ``text`` as JSON."""
-    if text is None:
-        return None
-    if os.path.isfile(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    try:
-        return SolverConfig.from_json(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--config is neither a file nor valid JSON: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -568,7 +552,7 @@ def _run(args: argparse.Namespace) -> int:
             tid = TABLE_IDS[int(tid) - 1]
         n_values = DEFAULT_N_VALUES if args.n is None else _parse_n_list(args.n)
         spec = TableSpec(tid, n_values)
-        _emit(table_csv(spec, args.digits, _load_config(args.config)), args.out)
+        _emit(table_csv(spec, args.digits), args.out)
         return EXIT_OK
     if args.command == "render":
         with open(args.in_path, "r", encoding="utf-8") as fh:
@@ -577,7 +561,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "optimize":
         build = build_b_problem if args.problem == "b" else build_q_problem
-        report = solve(build(args.n), _load_config(args.config))
+        report = solve(build(args.n))
         _emit(_json17(report.to_json_dict()) + "\n", args.out)
         return EXIT_OK
     if args.command == "verify":

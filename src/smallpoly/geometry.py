@@ -69,7 +69,8 @@ class SmallPolygon:
     can be re-checked with :func:`small_polygon_violations`.  The convexity
     test, the antipode search of a convex polygon, its width, the diameter
     sweep and the diameter cycle run at most once per polygon and are cached
-    on it; the width and the sweep share the antipodes.
+    on it; the convexity test, the width and the hull share one scaled copy
+    of the coordinates, and the width and the sweep share the antipodes.
     """
 
     xy: np.ndarray
@@ -106,8 +107,12 @@ class SmallPolygon:
         return self.xy.copy()
 
     @cached_property
+    def _unit(self) -> tuple[np.ndarray, int]:
+        return _scaled(self.xy)
+
+    @cached_property
     def _convex(self) -> bool:
-        return _is_convex(self.xy)
+        return _is_convex(self._unit[0])
 
     @cached_property
     def _far(self) -> np.ndarray:
@@ -116,14 +121,15 @@ class SmallPolygon:
 
     @cached_property
     def _width(self) -> float:
-        return _support_width(self.xy, self._far)
+        unit, exponent = self._unit
+        return math.ldexp(_support_width(unit, self._far), exponent)
 
     @cached_property
     def _diameter(self) -> tuple[float, np.ndarray]:
         """``(d, edges)`` with ``edges`` a read-only (E, 2) intp array."""
         if self._convex:  # a strictly convex CCW polygon is its own hull
             return _sweep(self.xy, np.arange(self.n), self._far)
-        hull = _hull(self.xy)
+        hull = _hull(self._unit[0])
         return _sweep(self.xy, hull, _antipodes(self.xy[hull]))
 
     @cached_property
@@ -184,14 +190,15 @@ def is_convex(p: SmallPolygon) -> bool:
     return p._convex
 
 
-def _scaled(coords: np.ndarray) -> np.ndarray:
-    """``coords`` times the power of two putting them in [-1, 1]: cross
-    products then neither overflow nor, for tiny polygons, underflow."""
-    return np.ldexp(coords, -int(np.frexp(np.abs(coords).max())[1]))
+def _scaled(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """``coords`` times the power of two 2^-e putting them in [-1, 1], and e:
+    cross products then neither overflow nor, for tiny polygons, underflow."""
+    exponent = int(np.frexp(np.abs(coords).max())[1])
+    return np.ldexp(coords, -exponent), exponent
 
 
-def _is_convex(coords: np.ndarray) -> bool:
-    c = _scaled(coords)
+def _is_convex(c: np.ndarray) -> bool:
+    """Convexity of the polygon whose coordinates :func:`_scaled` put in ``c``."""
     e = _shift(c, 1) - c
     nxt = _shift(e, 1)
     cross = e[:, 0] * nxt[:, 1] - e[:, 1] * nxt[:, 0]
@@ -218,15 +225,15 @@ def width(p: SmallPolygon) -> float:
     """Minimum support-line distance over all boundary-edge normals.
 
     For a convex polygon the width direction is normal to some edge, so
-    enumerating edges is exact.  Non-convex input is rejected.  Cached per
-    polygon; raises ``FloatingPointError`` where it overflows binary64.
+    enumerating edges is exact.  Non-convex input is rejected.  Computed on
+    the scaled coordinates and cached per polygon; raises ``OverflowError``
+    where it overflows binary64.
     """
     if not is_convex(p):
         raise NonConvexError("width is only defined here for convex CCW polygons")
     return p._width
 
 
-@np.errstate(over="raise")  # under any caller's errstate: a cached width hides no overflow
 def _support_width(coords: np.ndarray, far: np.ndarray) -> float:
     """The width of a convex CCW polygon, given its ``_antipodes``."""
     x, y = np.ascontiguousarray(coords.T)  # contiguous columns gather faster
@@ -237,14 +244,14 @@ def _support_width(coords: np.ndarray, far: np.ndarray) -> float:
     return float((cross.max(axis=1) / np.hypot(ex, ey)).min())
 
 
-def _hull(coords: np.ndarray) -> np.ndarray:
-    """CCW hull vertex indices (Andrew's monotone chain), collinear points dropped.
+def _hull(scaled: np.ndarray) -> np.ndarray:
+    """CCW hull vertex indices (Andrew's monotone chain), collinear points
+    dropped, of the coordinates :func:`_scaled` put in ``scaled``.
 
     The chain sorts the same scaled points its turn test reads: scaling can
     flush a subnormal coordinate to zero, and an order taken before that
     would not be the order of the points tested.
     """
-    scaled = _scaled(coords)
     pts = scaled.tolist()
     order = np.lexsort((scaled[:, 1], scaled[:, 0])).tolist()
     hull: list[int] = []

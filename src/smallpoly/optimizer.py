@@ -28,14 +28,12 @@ space of the active constraints is negative definite (section 12.5), a
 strict local maximum; the same factorization's inertia decides that
 (theorem 16.3; Gould, Math. Programming 32, 1985), from its pivots alone
 when they are all positive.  No default solve calls LAPACK.  The solve uses
-no RNG, so identical configurations reproduce bit-identical reports.
+no RNG, so identical problems reproduce bit-identical reports.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,8 +43,9 @@ from .bounds import GAP_LAWS, gap_constants, perimeter_gap
 from .constructions import AngleParamB, AngleParamQ, _from_angles, b_angles, q_angles
 from .geometry import DIAMETER_TOL, MetricsReport, measure
 
-DEFAULT_TOL_EQ = 1e-11
-DEFAULT_TOL_KKT = 1e-9
+TOL_EQ = 1e-11          # certified equality residual, max of both
+TOL_KKT = 1e-9          # certified projected stationarity norm
+MAX_NEWTON = 20         # most Newton iterations per solve
 STEP_TOL = 1e-13        # Newton iterations stop once steps shrink below this
 EPS = float(np.finfo(float).eps)
 
@@ -126,41 +125,6 @@ class SolveReport:
             "starts_used": self.starts_used,
             "converged": self.converged,
         }
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver settings; invalid values raise ValueError."""
-
-    max_outer: int = 20           # most Newton iterations
-    tol_eq: float = DEFAULT_TOL_EQ
-    tol_kkt: float = DEFAULT_TOL_KKT
-
-    def __post_init__(self) -> None:
-        value = self.max_outer
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"solver config 'max_outer' must be an integer >= 1, "
-                             f"got {value!r}")
-        for key in ("tol_eq", "tol_kkt"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0.0 <= value <= sys.float_info.max:
-                raise ValueError(f"solver config {key!r} must be a finite number >= 0, "
-                                 f"got {value!r}")
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolverConfig":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("solver config must be a JSON object")
-        known = {"max_outer", "tol_eq", "tol_kkt"}
-        bad = set(data) - known
-        if bad:
-            raise ValueError(f"unknown solver config keys: {sorted(bad)}")
-        return cls(**data)
-
-
-_DEFAULT_CONFIG = SolverConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -447,32 +411,31 @@ def _final_report_parts(problem, d, lo, hi, ev):
     return f, (float(c[0]), float(c[1])), kkt, definite
 
 
-def solve(problem: NlpProblem, config: SolverConfig | None = None) -> SolveReport:
+def solve(problem: NlpProblem) -> SolveReport:
     """One Newton-KKT solve from the problem's warm start, clipped to the box.
 
     The report counts as converged, and is returned, when both equality
-    residuals are within ``tol_eq``, the projected stationarity norm is
-    within ``tol_kkt``, the reduced Hessian is negative definite (a strict
+    residuals are within :data:`TOL_EQ`, the projected stationarity norm is
+    within :data:`TOL_KKT`, the reduced Hessian is negative definite (a strict
     local maximum), and the perimeter is at least the analytic family
     member's, compared by their gaps to ub_L: the optimum's from
     :func:`bounds.perimeter_gap`, the member's closed form from
     :func:`bounds.gap_constants`.  Otherwise :class:`NonConvergenceError`,
     carrying the report, names each failure.
     """
-    cfg = config or _DEFAULT_CONFIG
     lo = -problem.base_angle
     hi = problem.upper - problem.base_angle
     warm_dev = np.minimum(np.maximum(problem.warm_start - problem.base_angle, lo), hi)
     warm_dev.flags.writeable = False
-    d, iters, ev = _newton_kkt(problem, warm_dev, lo, hi, cfg.max_outer)
+    d, iters, ev = _newton_kkt(problem, warm_dev, lo, hi, MAX_NEWTON)
     obj, eq_res, kkt, definite = _final_report_parts(problem, d, lo, hi, ev)
     gap = perimeter_gap(problem.n, ev[3][0], d)
     failed = []
     eq = max(abs(eq_res[0]), abs(eq_res[1]))
-    if not eq <= cfg.tol_eq:
-        failed.append(f"eq residual {eq:.2g} > tol_eq {cfg.tol_eq:.2g}")
-    if not kkt <= cfg.tol_kkt:
-        failed.append(f"KKT residual {kkt:.2g} > tol_kkt {cfg.tol_kkt:.2g}")
+    if not eq <= TOL_EQ:
+        failed.append(f"eq residual {eq:.2g} > tol_eq {TOL_EQ:.2g}")
+    if not kkt <= TOL_KKT:
+        failed.append(f"KKT residual {kkt:.2g} > tol_kkt {TOL_KKT:.2g}")
     if not definite:
         failed.append("reduced Hessian not negative definite")
     # perimeters, unlike their gaps to ub_L, tie in binary64 from b1024; n^p

@@ -59,8 +59,10 @@ from smallpoly.cli import SVG_SCALE
 from smallpoly.constructions import b_angles, q_angles
 from smallpoly.geometry import DIAMETER_TOL, _json17, diameter
 from smallpoly.optimizer import (
+    MAX_NEWTON,
     STEP_TOL,
-    SolverConfig,
+    TOL_EQ,
+    TOL_KKT,
     SolveReport,
     _evaluate,
 )
@@ -609,15 +611,18 @@ def cholesky_report_parts(problem, d, lo, hi, ev):
     return f, (float(c[0]), float(c[1])), kkt, negative_definite
 
 
-def block_kkt_solve(problem, config=None, starts=None):
+def block_kkt_solve(problem, starts=None, max_outer=MAX_NEWTON, tol_eq=TOL_EQ,
+                    tol_kkt=TOL_KKT):
     """The solve through triangle suffix sums, the zero angle-sum Hessian,
     the ``np.block`` KKT matrix and the ``eigvalsh`` certificate, with the
     former perturbed-start fallback: while no start has converged, up to
     ``starts`` (default 1 + 2 * dim) starts each move one warm-start
-    coordinate.  Returns the first converged report whose objective is at
-    least the analytic family member's, or else the best partial one."""
+    coordinate.  Each start takes at most ``max_outer`` Newton iterations and
+    converges within ``tol_eq`` and ``tol_kkt``, by default the optimizer's
+    ``MAX_NEWTON``, ``TOL_EQ`` and ``TOL_KKT``.  Returns the first converged
+    report whose objective is at least the analytic family member's, or else
+    the best partial one."""
     problem = triangle_problem(problem)
-    cfg = config or SolverConfig()
     lo = np.zeros(problem.dim) - problem.base_angle
     hi = problem.upper - problem.base_angle
     warm_dev = np.clip(problem.warm_start - problem.base_angle, lo, hi)
@@ -632,10 +637,10 @@ def block_kkt_solve(problem, config=None, starts=None):
             mag = PERTURBATIONS[((s - 1) // problem.dim) % len(PERTURBATIONS)]
             d0[j] += mag if j % 2 == 0 else -mag
         d, iters, ev = _block_newton_kkt(problem, np.clip(d0, lo, hi), lo, hi,
-                                         cfg.max_outer)
+                                         max_outer)
         obj, eq_res, kkt, curvature = eigvalsh_report_parts(problem, d, lo, hi, ev)
-        converged = (max(abs(eq_res[0]), abs(eq_res[1])) <= cfg.tol_eq
-                     and kkt <= cfg.tol_kkt and curvature < 0.0)
+        converged = (max(abs(eq_res[0]), abs(eq_res[1])) <= tol_eq
+                     and kkt <= tol_kkt and curvature < 0.0)
         report = SolveReport(
             family=problem.family, n=problem.n,
             angles=tuple(float(a) for a in problem.base_angle + d),

@@ -90,6 +90,7 @@ RULE_ARGV = {
 @pytest.mark.parametrize("family,n,m,message", [
     ("b", 6, None, "b needs n = 2^s >= 8, got n=6"),
     ("b", 4, None, "b needs n = 2^s >= 8, got n=4"),
+    ("b", 7, None, "b needs n = 2^s >= 8, got n=7"),
     ("q", 6, None, "q needs n = 2^s >= 4, got n=6"),
     ("q", 2, None, "q needs n = 2^s >= 4, got n=2"),
     ("tamvakis", 12, None, "tamvakis needs n = 2^s >= 4, got n=12"),

@@ -3,11 +3,13 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from smallpoly import (
     diameter,
     from_angles_b,
     measure,
+    optimizer,
     perimeter,
     polygon_to_json,
     q_family,
@@ -72,6 +75,12 @@ def test_build_reuleaux_requires_m(capsys):
                        "--m", "3")
     assert code == EXIT_OK
     assert json.loads(out)["n"] == 6
+
+
+@pytest.mark.parametrize("family,n", [("regular", 3), ("b", 8), ("tamvakis", 4)])
+def test_build_refuses_m_for_families_other_than_reuleaux(capsys, family, n):
+    assert run(capsys, "build", "--family", family, "--n", str(n), "--m", "5") == (
+        EXIT_USAGE, "", f"error: --m applies only to --family reuleaux, got --family {family}\n")
 
 
 def test_build_rejects_bad_parameters(capsys):
@@ -271,41 +280,39 @@ def test_optimize_command_emits_report(capsys):
 
 
 def test_optimize_with_config(capsys):
-    code, out, _ = run(capsys, "optimize", "--problem", "b", "--n", "8",
-                       "--config", '{"max_outer": 30}')
+    # the former settings, valid or not, are all refused; without them the
+    # solve is the one certified default
+    for config in ('{"max_outer": 30}', '{"starts": 5}', '{"tol_eq": 0, "tol_kkt": 0}'):
+        code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8",
+                             "--config", config)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --config" in err
+    code, out, _ = run(capsys, "optimize", "--problem", "b", "--n", "8")
     assert code == EXIT_OK
     assert json.loads(out)["starts_used"] == 1
-    code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8",
-                         "--config", '{"starts": 5}')
-    assert code == EXIT_USAGE and out == ""
-    assert err == "error: unknown solver config keys: ['starts']\n"
-    code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8",
-                         "--config", '{"tol_eq": 0, "tol_kkt": 0}')
+    code, _, _ = run(capsys, "optimize", "--problem", "b", "--n", "7")
+    assert code == EXIT_USAGE
+
+
+def test_optimize_without_a_certified_maximum_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(optimizer, "TOL_EQ", 0.0)
+    monkeypatch.setattr(optimizer, "TOL_KKT", 0.0)
+    code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8")
     assert code == EXIT_CHECK and out == "" and err.count("\n") == 1
     assert err.startswith("error: no certified maximum for family 'b', n=8: ")
     assert "KKT residual" in err and "> tol_kkt 0" in err
-    code, _, _ = run(capsys, "optimize", "--problem", "b", "--n", "7")
-    assert code == EXIT_USAGE
 
 
 @pytest.mark.parametrize("config", [
     "[1]", '{"tol_eq": "x"}', '{"starts": 0}', '{"max_outer": 0}', "no-such-file.json",
 ])
 def test_optimize_rejects_bad_config_as_usage_error(capsys, config):
+    # the solver takes no settings, so argparse refuses every --config
     code, out, err = run(capsys, "optimize", "--problem", "b", "--n", "8",
                          "--config", config)
     assert code == EXIT_USAGE
     assert out == ""
-    assert err.startswith("error: ")
-
-
-def test_optimize_reads_config_file(tmp_path, capsys):
-    path = tmp_path / "solver.json"
-    path.write_text('{"max_outer": 10}')
-    code, out, _ = run(capsys, "optimize", "--problem", "q", "--n", "8",
-                       "--config", str(path))
-    assert code == EXIT_OK
-    assert json.loads(out)["starts_used"] == 1
+    assert err.startswith("usage: ") and "unrecognized arguments: --config" in err
 
 
 def test_verify_passes_and_is_quick(capsys):
@@ -545,11 +552,13 @@ def test_verify_passes_at_4096(capsys):
     '{"tol_kkt": 1e400}',
 ])
 def test_optimize_rejects_infinite_tolerances_as_usage_error(capsys, config):
+    # no setting can widen the certification thresholds, so no uncertified
+    # report is printed as converged
     code, out, err = run(capsys, "optimize", "--problem", "q", "--n", "8",
                          "--config", config)
     assert code == EXIT_USAGE
     assert out == ""
-    assert "finite" in err
+    assert "unrecognized arguments: --config" in err
 
 
 @pytest.mark.parametrize("vertices", ["[[0, 0], [1, 0], [NaN, 1]]",
@@ -744,6 +753,8 @@ def test_bad_invocations_exit_1_or_2_with_one_error_line(tmp_path, capsys, argv)
     ["render", "{missing}", "--config", "{}", "--out", "{svg}"],
     ["render", "{missing}"],
     ["verify", "--n-max", "8", "--config", "{}"],
+    ["optimize", "--problem", "b", "--n", "8", "--config", "{}"],
+    ["table", "--id", "4", "--config", "{}"],
 ], ids=lambda argv: " ".join(argv)[:40])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, argv):
     paths = {"{missing}": tmp_path / "missing.json", "{svg}": tmp_path / "out.svg"}
@@ -756,6 +767,7 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, arg
     (["--n", ",,"], "bad n list ',,'"),
     (["--n", ""], "bad n list ''"),
     (["--digits", "-1"], "--digits must be >= 0, got -1"),
+    (["--n", "256"], "no stored Mossinghoff perimeter for n=256"),
 ])
 def test_table_refuses_an_empty_n_list_and_negative_digits(capsys, argv, message):
     assert run(capsys, "table", "--id", "1", *argv) == (EXIT_USAGE, "", f"error: {message}\n")
@@ -796,3 +808,20 @@ def test_an_impossible_allocation_fails_at_once(argv):
     assert (proc.returncode, proc.stdout) == (EXIT_CHECK, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert elapsed < 5.0
+
+
+def _readme_command_lines():
+    """The argument lists of the fenced block under README.md's "## Command line"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the lines write and read b16.json and b16.svg
+    lines = _readme_command_lines()
+    assert len(lines) >= 10
+    for argv in lines:
+        assert argv[0] == "smallpoly"
+        assert main(argv[1:]) == EXIT_OK, argv
+        capsys.readouterr()

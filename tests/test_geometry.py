@@ -1,6 +1,5 @@
 """Coordinate-level metric tests: known shapes, invariants, JSON round-trips."""
 
-import contextlib
 import json
 import math
 
@@ -76,13 +75,14 @@ def test_width_rejects_non_convex():
 
 
 def test_measure_still_raises_on_overflow_after_an_unguarded_width_call():
-    # half-side 8e153: an edge's length times its antipode's offset, (1.6e154)^2,
-    # and the area overflow binary64, while the perimeter and the diameter do not
+    # half-side 8e153: the area, (1.6e154)^2, overflows binary64, while the
+    # perimeter, the diameter and the width, whose cross products are taken
+    # on coordinates scaled by a power of two, do not
     h = 8e153
     square = SmallPolygon.from_coords([(-h, -h), (h, -h), (h, h), (-h, h)])
     assert math.isfinite(perimeter(square)) and math.isfinite(diameter(square)[0])
-    with np.errstate(over="ignore"), contextlib.suppress(FloatingPointError):
-        width(square)
+    with np.errstate(over="ignore"):
+        assert width(square) == 2 * h
     with pytest.raises(InvalidPolygonError):
         measure(square)
 

@@ -20,6 +20,10 @@ must ``bounds.ubw_step``, the step ub_w(n) - ub_w(n-1).  The T2 and T3
 ratios that ``table`` prints must be their 50-digit values rounded to four
 decimals (within 5e-5) at n = 2^16 .. 2^20, where the denominators are a few
 dozen ulps of the bounds or less.
+
+Widths: the width of a triangle whose coordinates are as small as 1e-310
+(subnormal) must be within one ulp of its 50-digit value from the same
+binary64 vertices.
 """
 
 import functools
@@ -32,6 +36,7 @@ import pytest
 
 from smallpoly import (
     GAP_LAWS,
+    SmallPolygon,
     b_angles,
     build_b_problem,
     build_q_problem,
@@ -39,6 +44,7 @@ from smallpoly import (
     gap_constants,
     q_angles,
     solve,
+    width,
 )
 from smallpoly.bounds import OPTIMUM_GAP_LIMITS, perimeter_gap, ubw_step
 from smallpoly.cli import EXIT_OK, main
@@ -250,3 +256,23 @@ def test_table_t2_t3_ratios_match_50_digit_values_at_large_n(capsys, table):
     with mp.workdps(50):
         for n, row in zip(ns, rows):
             assert abs(mp.mpf(row[-1]) - mp_table_ratio(table, n)) <= 5e-5, (n, row[-1])
+
+
+def mp_width(vertices):
+    """The least, over the edges, of the largest vertex distance from the edge's line."""
+    pts = [(mp.mpf(x), mp.mpf(y)) for x, y in vertices]
+
+    def reach(a, b):
+        (ax, ay), (bx, by) = a, b
+        return max(abs((bx - ax) * (py - ay) - (by - ay) * (px - ax)) for px, py in pts) \
+            / mp.hypot(bx - ax, by - ay)
+    return min(reach(a, b) for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e-310])
+@pytest.mark.parametrize("shape", [((0, 0), (1, 0), (0, 1)), ((0, 0), (3, 0.1), (1, 2))])
+def test_tiny_triangle_width_is_within_an_ulp_of_its_50_digit_value(shape, scale):
+    vertices = [(x * scale, y * scale) for x, y in shape]
+    with mp.workdps(50):
+        exact = float(mp_width(vertices))
+    assert abs(width(SmallPolygon.from_coords(vertices)) - exact) <= math.ulp(exact)

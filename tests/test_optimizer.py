@@ -9,7 +9,6 @@ import pytest
 from smallpoly import (
     CertificationError,
     NonConvergenceError,
-    SolverConfig,
     b_angles,
     build_b_problem,
     build_q_problem,
@@ -228,19 +227,21 @@ def test_live_objective_ordering_chain(n):
     assert closed_form("q", n)[0] <= q_obj < b_obj
 
 
-def test_solve_is_deterministic():
+def test_solve_is_deterministic(monkeypatch):
     a = solve(build_q_problem(16))
     b = solve(build_q_problem(16))
     assert a == b  # bit-identical dataclasses
-    cfg = SolverConfig(max_outer=3)
-    assert solve(build_q_problem(16), cfg) == solve(build_q_problem(16), cfg)
+    monkeypatch.setattr(optimizer, "MAX_NEWTON", 3)
+    assert solve(build_q_problem(16)) == solve(build_q_problem(16))
 
 
-def test_impossible_tolerances_raise_non_convergence():
+def test_impossible_tolerances_raise_non_convergence(monkeypatch):
     # one iteration leaves both residuals above zero, so both are named
-    cfg = SolverConfig(max_outer=1, tol_eq=0.0, tol_kkt=0.0)
+    monkeypatch.setattr(optimizer, "MAX_NEWTON", 1)
+    monkeypatch.setattr(optimizer, "TOL_EQ", 0.0)
+    monkeypatch.setattr(optimizer, "TOL_KKT", 0.0)
     with pytest.raises(NonConvergenceError) as err:
-        solve(build_b_problem(8), cfg)
+        solve(build_b_problem(8))
     report = err.value.report
     assert report.objective > 3.12  # the solve's report is attached
     assert report.starts_used == 1 and not report.converged
@@ -369,29 +370,34 @@ def test_a_singular_step_system_ends_the_run_uncertified():
     assert str(err.value).endswith("reduced Hessian not negative definite")
 
 
-def test_solver_config_from_json():
-    cfg = SolverConfig.from_json('{"max_outer": 5, "tol_kkt": 1e-8}')
-    assert cfg.max_outer == 5 and cfg.tol_kkt == 1e-8
-    assert cfg.tol_eq == 1e-11
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_outer", "tol_eq",
-                                                                  "tol_kkt"]
-    with pytest.raises(ValueError):
-        SolverConfig.from_json('{"bogus": 1}')
-    with pytest.raises(ValueError, match=r"^unknown solver config keys: \['starts'\]$"):
-        SolverConfig.from_json('{"starts": 5}')
+def test_the_solver_takes_no_settings():
+    import smallpoly
+    problem = build_b_problem(8)
+    with pytest.raises(TypeError):
+        solve(problem, None)
+    with pytest.raises(TypeError):
+        solve(problem, config=None)
+    assert not hasattr(smallpoly, "SolverConfig") and "SolverConfig" not in smallpoly.__all__
+    assert (optimizer.MAX_NEWTON, optimizer.TOL_EQ, optimizer.TOL_KKT) == (20, 1e-11, 1e-9)
 
 
-@pytest.mark.parametrize("text", [
-    "[1]", "1", '"starts"', "null",
-    '{"tol_eq": "x"}', '{"tol_kkt": [1e-9]}', '{"max_outer": "20"}',
-    '{"starts": 0}', '{"starts": -3}', '{"starts": 1.5}', '{"starts": true}',
-    '{"max_outer": 0}',
-    '{"tol_eq": Infinity}', '{"tol_kkt": 1e400}', '{"tol_eq": NaN}',
-    '{"tol_kkt": 1' + '0' * 400 + '}',
+_BOTH_RESIDUALS = r"eq residual \S+ > tol_eq 1e-11; KKT residual \S+ > tol_kkt 1e-09"
+
+
+@pytest.mark.parametrize("builder,name,value,failures", [
+    (build_b_problem, "MAX_NEWTON", 1, _BOTH_RESIDUALS),
+    (build_q_problem, "MAX_NEWTON", 1, _BOTH_RESIDUALS),
+    (build_q_problem, "TOL_EQ", 0.0, r"eq residual \S+ > tol_eq 0"),
+    (build_b_problem, "TOL_KKT", 0.0, r"KKT residual \S+ > tol_kkt 0"),
 ])
-def test_solver_config_from_json_rejects_bad_values(text):
-    with pytest.raises(ValueError):
-        SolverConfig.from_json(text)
+def test_solve_reads_each_constant_at_call_time(monkeypatch, builder, name, value, failures):
+    # the default solve of n=8 is certified; one constant alone undoes that
+    assert solve(builder(8)).converged
+    monkeypatch.setattr(optimizer, name, value)
+    with pytest.raises(NonConvergenceError, match=failures + "$") as err:
+        solve(builder(8))
+    assert not err.value.report.converged
+    assert err.value.report.iterations <= optimizer.MAX_NEWTON
 
 
 def test_certify_accepts_converged_reports():
@@ -541,31 +547,36 @@ def _counting_objective(problem, calls):
     return dataclasses.replace(problem, objective=objective)
 
 
+_SOLVER_CONSTANTS = {"max_outer": "MAX_NEWTON", "tol_eq": "TOL_EQ", "tol_kkt": "TOL_KKT"}
+
+
 @pytest.mark.parametrize("builder,n,config", [
-    *((build_b_problem, 2 ** s, SolverConfig(max_outer=m))
-      for s in range(3, 9) for m in (1, 2, 3, 20)),
-    *((build_q_problem, 2 ** s, SolverConfig(max_outer=m))
-      for s in range(2, 8) for m in (1, 2, 3, 20)),
-    (build_b_problem, 8, SolverConfig(tol_eq=0.0, tol_kkt=0.0)),
-    (build_q_problem, 8, SolverConfig(tol_eq=0.0, tol_kkt=0.0)),
+    *((build_b_problem, 2 ** s, {"max_outer": m}) for s in range(3, 9) for m in (1, 2, 3, 20)),
+    *((build_q_problem, 2 ** s, {"max_outer": m}) for s in range(2, 8) for m in (1, 2, 3, 20)),
+    (build_b_problem, 8, {"tol_eq": 0.0, "tol_kkt": 0.0}),
+    (build_q_problem, 8, {"tol_eq": 0.0, "tol_kkt": 0.0}),
 ])
-def test_one_start_converges_exactly_when_the_multi_start_reference_does(builder, n, config):
+def test_one_start_converges_exactly_when_the_multi_start_reference_does(builder, n, config,
+                                                                         monkeypatch):
     # The reference runs up to 1 + 2 * dim perturbed starts while none has
     # converged; a start after the first never succeeds where the first failed.
+    # ``config`` overrides the solver's constants of the same meaning.
     problem = builder(n)
-    reference = block_kkt_solve(problem, config)
+    reference = block_kkt_solve(problem, **config)
+    for key, value in config.items():
+        monkeypatch.setattr(optimizer, _SOLVER_CONSTANTS[key], value)
     member_obj = problem.objective(_member_deviations(problem))[0]
     ref_ok = reference.converged and reference.objective >= member_obj
     calls = []
     try:
-        report = solve(_counting_objective(problem, calls), config)
+        report = solve(_counting_objective(problem, calls))
     except NonConvergenceError as err:
         report = None
         assert err.report.starts_used == 1
     assert (report is not None) == ref_ok
     if ref_ok:
         assert report.converged and _angles_match(report, reference)
-    assert len(calls) <= config.max_outer + 2  # the warm start, then one per iterate
+    assert len(calls) <= optimizer.MAX_NEWTON + 2  # the warm start, then one per iterate
 
 
 def _certificate_points():
